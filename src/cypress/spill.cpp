@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "flate/flate.hpp"
+#include "flate/seglog.hpp"
 #include "support/error.hpp"
 
 namespace cypress::core {
@@ -20,18 +21,15 @@ constexpr uint8_t kBatchSegment = 0;
 constexpr uint8_t kMergeSegment = 1;
 constexpr uint8_t kFinalSegment = 2;
 
-std::string checkedStr(ByteReader& r) {
-  const uint64_t n = r.checkedCount(r.uv(), 1);
-  return std::string(reinterpret_cast<const char*>(r.raw(n).data()), n);
-}
+/// str "CYSP" | uv version
+constexpr seglog::Format kSpillLog{"CYSP", "spill", kSealSegment, 1};
 
-void frameSegment(ByteWriter& w, uint8_t kind,
-                  std::span<const uint8_t> payload) {
-  w.u8(kind);
-  w.uv(payload.size());
-  w.u32fixed(flate::crc32(payload));
-  w.raw(payload);
-}
+/// str "CYM1" | uv version | uv numRanks | uv budgetBytes
+/// | uv maxBatchRanks
+constexpr seglog::Format kManifestLog{
+    "CYM1", "manifest", kFinalSegment, 4,
+    "pass --resume to continue the interrupted merge or remove its work "
+    "directory to start fresh"};
 
 }  // namespace
 
@@ -39,21 +37,16 @@ SpillSink::SpillSink(io::IoBackend& io, const std::string& path)
     : file_(io.openWrite(path)) {
   chunk_.reserve(kSpillChunkBytes);
   ByteWriter h;
-  h.str("CYSP");
-  h.uv(kSpillVersion);
+  seglog::writeHeader(h, kSpillLog, {kSpillVersion});
   file_->write(h.bytes());
 }
 
 void SpillSink::flushChunk() {
   // Chunked so a torn write is localized: every chunk is independently
   // CRC-checked, and the seal pins the whole-stream length and CRC.
-  const uint32_t chunkCrc = flate::crc32(chunk_);
-  totals_.crc = totals_.bytes == 0
-                    ? chunkCrc
-                    : flate::crc32Combine(totals_.crc, chunkCrc, chunk_.size());
-  totals_.bytes += chunk_.size();
+  stream_.append(chunk_);
   ByteWriter seg;
-  frameSegment(seg, kChunkSegment, chunk_);
+  seglog::encode(seg, kChunkSegment, chunk_);
   file_->write(seg.bytes());
   chunk_.clear();
 }
@@ -75,14 +68,14 @@ SpillSink::Totals SpillSink::seal() {
   sealed_ = true;
   if (!chunk_.empty()) flushChunk();
   ByteWriter seal;
-  seal.uv(totals_.bytes);
-  seal.u32fixed(totals_.crc);
+  seal.uv(stream_.bytes());
+  seal.u32fixed(stream_.crc());
   ByteWriter seg;
-  frameSegment(seg, kSealSegment, seal.bytes());
+  seglog::encode(seg, kSealSegment, seal.bytes());
   file_->write(seg.bytes());
   file_->sync();
   file_->close();
-  return totals_;
+  return {stream_.bytes(), stream_.crc()};
 }
 
 void writeSpill(io::IoBackend& io, const std::string& path,
@@ -94,35 +87,29 @@ void writeSpill(io::IoBackend& io, const std::string& path,
 
 std::vector<uint8_t> parseSpill(std::span<const uint8_t> file) {
   ByteReader r(file);
-  CYP_CHECK(r.str() == "CYSP", "spill: bad magic");
-  const uint64_t version = r.uv();
+  const uint64_t version = seglog::readHeader(r, kSpillLog)[0];
   CYP_CHECK(version == kSpillVersion, "spill: unsupported version " << version);
 
   std::vector<uint8_t> data;
   bool sealed = false;
-  while (!r.atEnd()) {
+  auto onSegment = [&](uint8_t kind, std::span<const uint8_t> payload) {
     CYP_CHECK(!sealed, "spill: segment after seal");
-    const uint8_t kind = r.u8();
-    CYP_CHECK(kind <= kSealSegment, "spill: unknown segment kind " << int(kind));
-    const uint64_t len = r.uv();
-    const uint32_t crc = r.u32fixed();
-    std::span<const uint8_t> payload = r.raw(len);
-    CYP_CHECK(flate::crc32(payload) == crc, "spill: segment CRC mismatch");
     if (kind == kChunkSegment) {
       r.chargeAlloc(payload.size());
       data.insert(data.end(), payload.begin(), payload.end());
-    } else {
-      ByteReader p(payload);
-      const uint64_t totalBytes = p.uv();
-      const uint32_t totalCrc = p.u32fixed();
-      CYP_CHECK(p.atEnd(), "spill: trailing bytes in seal");
-      CYP_CHECK(totalBytes == data.size(),
-                "spill: seal declares " << totalBytes << " bytes, chunks hold "
-                                        << data.size());
-      CYP_CHECK(totalCrc == flate::crc32(data), "spill: stream CRC mismatch");
-      sealed = true;
+      return;
     }
-  }
+    ByteReader p(payload);
+    const uint64_t totalBytes = p.uv();
+    const uint32_t totalCrc = p.u32fixed();
+    CYP_CHECK(p.atEnd(), "spill: trailing bytes in seal");
+    CYP_CHECK(totalBytes == data.size(),
+              "spill: seal declares " << totalBytes << " bytes, chunks hold "
+                                      << data.size());
+    CYP_CHECK(totalCrc == flate::crc32(data), "spill: stream CRC mismatch");
+    sealed = true;
+  };
+  seglog::walk(r, kSpillLog, seglog::Mode::Strict, onSegment);
   CYP_CHECK(sealed, "spill: unsealed (incomplete checkpoint)");
   return data;
 }
@@ -144,35 +131,9 @@ bool spillIntact(io::IoBackend& io, const std::string& path,
 
 ManifestWriter::ManifestWriter(io::IoBackend& io, const std::string& path,
                                const MergePlanKey& key, bool resume)
-    : io_(io) {
-  bool fresh = true;
-  if (io_.exists(path) && io_.fileSize(path) > 0) fresh = false;
-  CYP_CHECK(fresh || resume,
-            "manifest: " << path << " already exists; pass --resume to "
-                         << "continue the interrupted merge or remove its "
-                         << "work directory to start fresh");
-  file_ = io_.openWrite(path, /*append=*/true);
-  if (fresh) {
-    ByteWriter h;
-    h.str("CYM1");
-    h.uv(kManifestVersion);
-    h.uv(key.numRanks);
-    h.uv(key.budgetBytes);
-    h.uv(key.maxBatchRanks);
-    file_->write(h.bytes());
-    file_->sync();
-  }
-}
-
-void ManifestWriter::segment(uint8_t kind, const ByteWriter& payload) {
-  ByteWriter w;
-  frameSegment(w, kind, payload.bytes());
-  // One write + fsync per segment: a checkpoint that has not reached
-  // the platter is not a checkpoint.
-  file_->write(w.bytes());
-  file_->sync();
-  ++segments_;
-}
+    : log_(io, path, kManifestLog,
+           {kManifestVersion, key.numRanks, key.budgetBytes, key.maxBatchRanks},
+           resume) {}
 
 void ManifestWriter::appendBatch(const BatchRecord& b) {
   ByteWriter p;
@@ -183,7 +144,7 @@ void ManifestWriter::appendBatch(const BatchRecord& b) {
   p.uv(b.fileBytes);
   p.u32fixed(b.fileCrc);
   b.lostRanks.serialize(p);
-  segment(kBatchSegment, p);
+  log_.append(kBatchSegment, p.bytes());
 }
 
 void ManifestWriter::appendMerge(const MergeRecord& m) {
@@ -193,7 +154,7 @@ void ManifestWriter::appendMerge(const MergeRecord& m) {
   p.str(m.file);
   p.uv(m.fileBytes);
   p.u32fixed(m.fileCrc);
-  segment(kMergeSegment, p);
+  log_.append(kMergeSegment, p.bytes());
 }
 
 void ManifestWriter::appendFinal(const FinalRecord& f) {
@@ -201,118 +162,82 @@ void ManifestWriter::appendFinal(const FinalRecord& f) {
   p.str(f.outPath);
   p.uv(f.bytes);
   p.u32fixed(f.crc);
-  segment(kFinalSegment, p);
+  log_.append(kFinalSegment, p.bytes());
 }
 
 namespace {
 
-ManifestRecovery readManifest(std::span<const uint8_t> data, bool strict) {
+ManifestRecovery readManifest(std::span<const uint8_t> data,
+                              seglog::Mode mode) {
   ByteReader r(data);
-  CYP_CHECK(r.str() == "CYM1", "manifest: bad magic");
-  const uint64_t version = r.uv();
-  CYP_CHECK(version == kManifestVersion,
-            "manifest: unsupported version " << version);
+  const auto header = seglog::readHeader(r, kManifestLog);
+  CYP_CHECK(header[0] == kManifestVersion,
+            "manifest: unsupported version " << header[0]);
   ManifestRecovery out;
-  out.key.numRanks = r.uv();
-  out.key.budgetBytes = r.uv();
-  out.key.maxBatchRanks = r.uv();
+  out.key = {header[1], header[2], header[3]};
   CYP_CHECK(out.key.numRanks >= 1 && out.key.numRanks <= (1u << 22),
             "manifest: implausible rank count " << out.key.numRanks);
 
-  while (!r.atEnd()) {
-    const size_t segStart = r.pos();
-    try {
-      const uint8_t kind = r.u8();
-      CYP_CHECK(kind <= kFinalSegment,
-                "manifest: unknown segment kind " << int(kind));
-      const uint64_t len = r.uv();
-      const uint32_t crc = r.u32fixed();
-      std::span<const uint8_t> payload = r.raw(len);
-      CYP_CHECK(flate::crc32(payload) == crc, "manifest: segment CRC mismatch");
-      CYP_CHECK(!out.final.has_value(), "manifest: segment after FINAL");
-
-      ByteReader p(payload);
-      if (kind == kBatchSegment) {
-        BatchRecord b;
-        b.batchIndex = p.uv();
-        b.firstRank = static_cast<int>(p.uv());
-        b.rankCount = static_cast<int>(p.uv());
-        b.file = checkedStr(p);
-        b.fileBytes = p.uv();
-        b.fileCrc = p.u32fixed();
-        b.lostRanks = RankSet::deserialize(p);
-        CYP_CHECK(p.atEnd(), "manifest: trailing bytes in batch segment");
-        CYP_CHECK(b.batchIndex == out.batches.size(),
-                  "manifest: batch " << b.batchIndex << " out of order");
-        CYP_CHECK(b.rankCount >= 1, "manifest: empty batch");
-        out.batches.push_back(std::move(b));
-      } else if (kind == kMergeSegment) {
-        MergeRecord m;
-        m.round = p.uv();
-        m.pairIndex = p.uv();
-        m.file = checkedStr(p);
-        m.fileBytes = p.uv();
-        m.fileCrc = p.u32fixed();
-        CYP_CHECK(p.atEnd(), "manifest: trailing bytes in merge segment");
-        out.merges.push_back(std::move(m));
-      } else {
-        FinalRecord f;
-        f.outPath = checkedStr(p);
-        f.bytes = p.uv();
-        f.crc = p.u32fixed();
-        CYP_CHECK(p.atEnd(), "manifest: trailing bytes in final segment");
-        out.final = std::move(f);
-      }
-      ++out.segmentsRecovered;
-    } catch (const Error&) {
-      if (strict) throw;
-      out.bytesDiscarded = data.size() - segStart;
-      return out;
+  auto onSegment = [&](uint8_t kind, std::span<const uint8_t> payload) {
+    CYP_CHECK(!out.final.has_value(), "manifest: segment after FINAL");
+    ByteReader p(payload);
+    if (kind == kBatchSegment) {
+      BatchRecord b;
+      b.batchIndex = p.uv();
+      b.firstRank = static_cast<int>(p.uv());
+      b.rankCount = static_cast<int>(p.uv());
+      b.file = p.str();
+      b.fileBytes = p.uv();
+      b.fileCrc = p.u32fixed();
+      b.lostRanks = RankSet::deserialize(p);
+      CYP_CHECK(p.atEnd(), "manifest: trailing bytes in batch segment");
+      CYP_CHECK(b.batchIndex == out.batches.size(),
+                "manifest: batch " << b.batchIndex << " out of order");
+      CYP_CHECK(b.rankCount >= 1, "manifest: empty batch");
+      out.batches.push_back(std::move(b));
+    } else if (kind == kMergeSegment) {
+      MergeRecord m;
+      m.round = p.uv();
+      m.pairIndex = p.uv();
+      m.file = p.str();
+      m.fileBytes = p.uv();
+      m.fileCrc = p.u32fixed();
+      CYP_CHECK(p.atEnd(), "manifest: trailing bytes in merge segment");
+      out.merges.push_back(std::move(m));
+    } else {
+      FinalRecord f;
+      f.outPath = p.str();
+      f.bytes = p.uv();
+      f.crc = p.u32fixed();
+      CYP_CHECK(p.atEnd(), "manifest: trailing bytes in final segment");
+      out.final = std::move(f);
     }
-  }
+  };
+  const auto walked = seglog::walk(r, kManifestLog, mode, onSegment);
+  out.segmentsRecovered = walked.segments;
+  out.bytesDiscarded = walked.bytesDiscarded;
   return out;
 }
 
 }  // namespace
 
 ManifestRecovery recoverManifest(std::span<const uint8_t> data) {
-  return readManifest(data, /*strict=*/false);
+  return readManifest(data, seglog::Mode::Salvage);
 }
 
 ManifestRecovery parseManifest(std::span<const uint8_t> data) {
-  return readManifest(data, /*strict=*/true);
+  return readManifest(data, seglog::Mode::Strict);
 }
 
 std::optional<ManifestRecovery> recoverManifestFile(io::IoBackend& io,
                                                     const std::string& path) {
-  if (!io.exists(path)) return std::nullopt;
-  const auto bytes = io.readAll(path);
-  if (bytes.empty()) return std::nullopt;
-
-  // A kill can land mid-write of the header itself; any prefix shorter
-  // than the fixed magic+version is a torn fresh manifest. The header's
-  // plan-key varints make longer prefixes self-checking: a torn key
-  // fails the plausibility check below and is treated the same way.
-  try {
-    ManifestRecovery rec = recoverManifest(bytes);
-    if (rec.bytesDiscarded > 0)
-      io.truncate(path, bytes.size() - rec.bytesDiscarded);
-    return rec;
-  } catch (const Error&) {
-    // Unusable header. If it is a strict prefix of a valid CYM1 header
-    // the process died writing it — truncate to empty and start over;
-    // anything else is a foreign file we refuse to clobber.
-    ByteWriter magic;
-    magic.str("CYM1");
-    const auto& m = magic.bytes();
-    const bool tornHeader =
-        bytes.size() < m.size() + 4 * 10 &&
-        std::equal(bytes.begin(),
-                   bytes.begin() + std::min(bytes.size(), m.size()), m.begin());
-    CYP_CHECK(tornHeader, "manifest: " << path << " is not a CYM1 manifest");
-    io.truncate(path, 0);
-    return std::nullopt;
-  }
+  std::optional<ManifestRecovery> rec;
+  seglog::recoverFile(io, path, kManifestLog,
+                      [&](std::span<const uint8_t> bytes) {
+                        rec = recoverManifest(bytes);
+                        return rec->bytesDiscarded;
+                      });
+  return rec;
 }
 
 }  // namespace cypress::core

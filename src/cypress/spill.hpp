@@ -3,16 +3,13 @@
 //
 // The memory-bounded streaming merge (cypress/merge_stream.hpp) keeps
 // at most a batch of ranks in RAM and parks every intermediate merged
-// CTT on disk. Both on-disk forms follow the CYJ1 discipline — CRC
-// framing so any torn byte is detectable, plus an explicit
-// completeness marker — because both are written on the crash path by
-// construction: a kill -9 or an ENOSPC mid-merge must never leave an
-// undetectably damaged file.
+// CTT on disk. Both on-disk forms are segment logs (flate/seglog.hpp),
+// because both are written on the crash path by construction: a kill -9
+// or an ENOSPC mid-merge must never leave an undetectably damaged file.
 //
 // CYSP spill file:
 //
 //   header:  str "CYSP" | uvarint version (1)
-//   segment: u8 kind | uvarint payloadLen | u32 crc32(payload) | payload
 //
 // Segment kinds:
 //   0 CHUNK payload = a slice of the serialized CYPC stream
@@ -29,7 +26,6 @@
 //
 //   header:  str "CYM1" | uvarint version (1)
 //            | uv numRanks | uv budgetBytes | uv maxBatchRanks
-//   segment: u8 kind | uvarint payloadLen | u32 crc32(payload) | payload
 //
 // Segment kinds:
 //   0 BATCH payload = uv batchIndex | uv firstRank | uv rankCount
@@ -43,10 +39,9 @@
 // each segment is one completed, durable step of the merge. `file` is
 // relative to the manifest's directory; a BATCH with an empty file is
 // a degraded batch whose ranks were dropped (lostRanks says which).
-// Recovery is prefix salvage: replay CRC-valid segments, truncate the
-// torn tail, resume appending. The header parameters pin the plan —
-// resuming with a different rank count or budget would re-batch
-// differently, so it is refused.
+// Recovery is seglog's salvage-and-truncate. The header parameters pin
+// the plan — resuming with a different rank count or budget would
+// re-batch differently, so it is refused.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +50,8 @@
 #include <string>
 #include <vector>
 
+#include "flate/seglog.hpp"
+#include "flate/stream.hpp"
 #include "support/bytebuf.hpp"
 #include "support/io.hpp"
 #include "support/rank_set.hpp"
@@ -71,7 +68,7 @@ void writeSpill(io::IoBackend& io, const std::string& path,
 /// buffer. Bytes are framed into CRC'd CHUNK segments at the same
 /// fixed cut points writeSpill uses (the file is byte-identical);
 /// seal() flushes the tail chunk, appends the SEAL segment with the
-/// running totals (whole-stream CRC via crc32Combine folding), fsyncs,
+/// running totals (kept by a flate::Crc32Sink), fsyncs,
 /// closes, and reports the payload totals for checkpoint records.
 /// A destroyed-unsealed sink leaves a torn spill — exactly what the
 /// strict reader rejects and the resume path recomputes.
@@ -83,10 +80,6 @@ class SpillSink final : public ByteSink {
   };
 
   SpillSink(io::IoBackend& io, const std::string& path);
-  ~SpillSink() override = default;
-
-  SpillSink(const SpillSink&) = delete;
-  SpillSink& operator=(const SpillSink&) = delete;
 
   void append(std::span<const uint8_t> bytes) override;
   Totals seal();
@@ -96,7 +89,7 @@ class SpillSink final : public ByteSink {
 
   std::unique_ptr<io::IoFile> file_;
   std::vector<uint8_t> chunk_;
-  Totals totals_;
+  flate::Crc32Sink stream_;  // totals of the payload stream
   bool sealed_ = false;
 };
 
@@ -153,8 +146,7 @@ struct MergePlanKey {
   bool operator==(const MergePlanKey&) const = default;
 };
 
-/// Append-only CYM1 writer: one write + fsync per segment, mirroring
-/// the ledger.
+/// Append-only CYM1 writer over a seglog::Appender.
 class ManifestWriter {
  public:
   /// Opens `path` for appending; writes the header when the file is new
@@ -169,14 +161,10 @@ class ManifestWriter {
 
   /// Durable segments appended through this writer (header excluded) —
   /// the clock the kill-matrix --crash-after-steps hook reads.
-  uint64_t segmentsWritten() const { return segments_; }
+  uint64_t segmentsWritten() const { return log_.segmentsWritten(); }
 
  private:
-  void segment(uint8_t kind, const ByteWriter& payload);
-
-  io::IoBackend& io_;
-  std::unique_ptr<io::IoFile> file_;
-  uint64_t segments_ = 0;
+  seglog::Appender log_;
 };
 
 /// The replayed state of a (possibly torn) manifest.
@@ -199,7 +187,9 @@ ManifestRecovery parseManifest(std::span<const uint8_t> data);
 /// Read + salvage a manifest file and truncate it to the valid prefix
 /// so a ManifestWriter can resume appending. A missing or empty file
 /// (including a torn header, which is truncated to empty) yields
-/// nullopt: there is nothing to resume from.
+/// nullopt: there is nothing to resume from. Any other header failure,
+/// an unsupported version included, raises cypress::Error and leaves
+/// the file untouched.
 std::optional<ManifestRecovery> recoverManifestFile(io::IoBackend& io,
                                                     const std::string& path);
 

@@ -37,7 +37,8 @@ constexpr size_t kShardBytes = 256 * 1024;
 /// Compress `data`; never fails (incompressible data falls back to a
 /// stored block with a few bytes of framing overhead). `threads` caps
 /// how many shards compress concurrently (on the shared pipeline pool)
-/// and never changes the output bytes.
+/// and never changes the output bytes. A thin wrapper that feeds `data`
+/// through a StreamingCompressor into a VectorSink (flate/stream.hpp).
 std::vector<uint8_t> compress(std::span<const uint8_t> data,
                               Level level = Level::Default, int threads = 1);
 
@@ -49,10 +50,6 @@ std::vector<uint8_t> compress(std::span<const uint8_t> data,
 /// a sequential decode.
 std::vector<uint8_t> decompress(std::span<const uint8_t> data,
                                 int threads = 1);
-
-/// Convenience: size in bytes after compression.
-size_t compressedSize(std::span<const uint8_t> data,
-                      Level level = Level::Default, int threads = 1);
 
 /// String overloads (used by text-file artifacts such as serialized CSTs).
 std::vector<uint8_t> compressString(const std::string& s,

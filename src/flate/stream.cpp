@@ -26,15 +26,15 @@ struct StreamingCompressor::Job {
 /// the tasks then drop their work and the state dies with the last
 /// reference.
 struct StreamingCompressor::Impl {
-  Impl(MatchParams params, int lanes, ThreadPool* p)
+  Impl(MatchParams params, int lanes)
       : mp(params),
         threads(lanes),
-        pool(p),
+        pool(lanes > 1 ? &ThreadPool::shared() : nullptr),
         queue(static_cast<size_t>(lanes) * 2) {}
 
   const MatchParams mp;
   const int threads;
-  ThreadPool* pool;
+  ThreadPool* const pool;  // the shared pool; null when single-lane
   BoundedQueue<std::shared_ptr<Job>> queue;
   std::mutex mu;
   std::condition_variable cv;       // signaled when any job completes
@@ -69,13 +69,10 @@ struct StreamingCompressor::Impl {
 };
 
 StreamingCompressor::StreamingCompressor(ByteSink& out, Level level,
-                                         int threads, ThreadPool* pool)
+                                         int threads)
     : out_(&out) {
-  const int lanes = threads > 1 ? threads : 1;
   impl_ = std::make_shared<Impl>(MatchParams::forChain(static_cast<int>(level)),
-                                 lanes,
-                                 lanes > 1 ? (pool ? pool : &ThreadPool::shared())
-                                           : nullptr);
+                                 threads > 1 ? threads : 1);
   pending_.reserve(kShardBytes);
 }
 

@@ -34,10 +34,6 @@
 #include "flate/flate.hpp"
 #include "support/bytebuf.hpp"
 
-namespace cypress {
-class ThreadPool;
-}
-
 namespace cypress::flate {
 
 /// Pass-through sink folding a running CRC-32 and byte count over
@@ -76,10 +72,10 @@ class StreamingCompressor final : public ByteSink {
   /// Compressed output goes to `out` (only during finish(), on the
   /// calling thread — `out` needs no thread safety). `threads <= 1`
   /// compresses shards inline at cut time; otherwise shards are
-  /// compressed by `pool` (the shared pool when null) with at most
-  /// ~2x`threads` shards in flight.
+  /// compressed by the shared pool with at most ~2x`threads` shards in
+  /// flight.
   explicit StreamingCompressor(ByteSink& out, Level level = Level::Default,
-                               int threads = 1, ThreadPool* pool = nullptr);
+                               int threads = 1);
   ~StreamingCompressor() override;
 
   StreamingCompressor(const StreamingCompressor&) = delete;

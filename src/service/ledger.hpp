@@ -1,12 +1,10 @@
 // Crash-consistent job ledger: the CYL1 append-only on-disk format.
 //
 // The daemon journals every job state transition the way the tracer
-// journals events (trace/journal.hpp): CRC-framed, append-only,
-// flushed segment by segment, so a `kill -9` at any byte leaves a
-// recoverable prefix. The layout:
+// journals events: as a segment log (flate/seglog.hpp), flushed segment
+// by segment, so a `kill -9` at any byte leaves a recoverable prefix:
 //
-//   header:  str "CYL1" | uvarint version (1)
-//   segment: u8 kind | uvarint payloadLen | u32 crc32(payload) | payload
+//   header:  str "CYL1" | uvarint version (2)
 //
 // Segment kinds:
 //   0 SUBMIT payload = uv jobId | uv clientId | JobSpec
@@ -14,12 +12,10 @@
 //                      | str artifactPath | str journalPath
 //
 // A ledger is never sealed — the server is meant to outlive any one
-// job — so recovery is always prefix salvage: replay CRC-valid
-// segments in order, stop at the first torn or corrupt one, and report
-// how many trailing bytes must be truncated before appending resumes.
-// A job whose last recovered state is non-terminal (ACCEPTED or
-// RUNNING) was in flight at the crash: the server re-queues it and
-// marks its half-written artifacts for salvage.
+// job — so recovery is always seglog's salvage-and-truncate. A job
+// whose last recovered state is non-terminal (ACCEPTED or RUNNING) was
+// in flight at the crash: the server re-queues it and marks its
+// half-written artifacts for salvage.
 #pragma once
 
 #include <cstdint>
@@ -28,22 +24,20 @@
 #include <string>
 #include <vector>
 
+#include "flate/seglog.hpp"
 #include "service/protocol.hpp"
 #include "support/io.hpp"
 
 namespace cypress::service {
 
-/// Append-only CYL1 writer. Every append is written and fsynced before
-/// returning, so the on-disk stream always ends at a segment boundary
-/// unless the process died mid-write — either way a recoverable prefix,
-/// and every acknowledged state transition is on the platter.
+/// Append-only CYL1 writer over a seglog::Appender: every append is
+/// written and fsynced before returning, so every acknowledged state
+/// transition is on the platter.
 class LedgerWriter {
  public:
-  /// Opens `path` for appending, writing the header first when the file
-  /// is new or empty. Refuses a non-empty file unless `resume` is set
-  /// (the recovery path truncates to the valid prefix, then resumes).
-  /// All I/O goes through `io` (null = the real backend), so tests can
-  /// inject disk faults into the append path.
+  /// Opens `path` as seglog::Appender does (header on a fresh file, a
+  /// non-empty one only with `resume`). All I/O goes through `io` (null
+  /// = the real backend), so tests can inject disk faults.
   explicit LedgerWriter(const std::string& path, bool resume = false,
                         io::IoBackend* io = nullptr);
 
@@ -57,14 +51,10 @@ class LedgerWriter {
 
   /// Segments appended through this writer (header excluded) — the
   /// clock the kill-matrix test's --crash-after-segments hook reads.
-  uint64_t segmentsWritten() const { return segments_; }
+  uint64_t segmentsWritten() const { return log_.segmentsWritten(); }
 
  private:
-  void segment(uint8_t kind, const ByteWriter& payload);
-
-  io::IoBackend* io_;
-  std::unique_ptr<io::IoFile> file_;
-  uint64_t segments_ = 0;
+  seglog::Appender log_;
 };
 
 /// One job as reconstructed from the ledger (last state wins).
@@ -101,7 +91,8 @@ LedgerRecovery parseLedger(std::span<const uint8_t> data);
 
 /// Read + salvage a ledger file and truncate it to the valid prefix so
 /// a LedgerWriter can resume appending. Returns the recovery; a missing
-/// file yields an empty recovery. `io` as in LedgerWriter.
+/// file or a torn header (reset to empty) yields an empty recovery, and
+/// any other header failure throws. `io` as in LedgerWriter.
 LedgerRecovery recoverLedgerFile(const std::string& path,
                                  io::IoBackend* io = nullptr);
 

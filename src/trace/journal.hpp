@@ -1,10 +1,9 @@
 // Crash-consistent trace journaling: the CYJ1 segmented on-disk format.
 //
-// A journal is an append-only byte stream a tracer can be killed in the
-// middle of writing, at any byte, and still recover from. The layout:
+// A journal is a segment log (flate/seglog.hpp) a tracer can be killed
+// in the middle of writing, at any byte, and still recover from:
 //
 //   header:  str "CYJ1" | uvarint numRanks
-//   segment: u8 kind | uvarint payloadLen | u32 crc32(payload) | payload
 //
 // Segment kinds:
 //   0 EVENTS   payload = uv rank | uv nEvents | nEvents serialized Events
@@ -18,13 +17,9 @@
 // missing segment, yielding every event up to the last complete segment
 // — the same guarantee Recorder-style per-rank I/O tracing provides.
 //
-// Two readers share the segment walk:
-//   recoverJournal() is the salvage path (`cyptrace recover`): it throws
-//     only on a bad header and otherwise returns the recoverable prefix,
-//     reporting how many trailing bytes were discarded.
-//   parseJournal() is the strict path (verification, fuzzing): any
-//     anomaly — torn segment, CRC mismatch, unsealed journal, trailing
-//     bytes, event-count mismatch — raises cypress::Error.
+// recoverJournal() is the salvage walk (`cyptrace recover`) and
+// parseJournal() the strict one (verification, fuzzing), which also
+// rejects an unsealed journal and an event-count mismatch.
 #pragma once
 
 #include <cstdint>
@@ -113,15 +108,10 @@ class JournalRecorder final : public Observer {
   bool finalized_ = false;
 };
 
-/// Build a JournalBuilder sink that appends every chunk to `path`
-/// through `io` with a write + fsync per chunk — the canonical durable
-/// journal sink. fsync per segment is what upgrades the format's
-/// "recoverable after any torn prefix" promise from surviving a process
-/// kill to surviving a power cut; callers that only need kill-safety
-/// still pay one syncs-per-flush, which the flushEvery batching
-/// amortizes. The returned sink owns the open file (closed when the
-/// last copy of the sink is destroyed) and propagates io::IoError from
-/// the write path into the tracer.
+/// Build a JournalBuilder sink that writes every chunk to `path` through
+/// `io` with a write + fsync per chunk, so the journal's torn-prefix
+/// promise survives a power cut, not only a kill. The sink owns the
+/// open file (closed with its last copy) and propagates io::IoError.
 JournalBuilder::Sink durableFileSink(io::IoBackend& io,
                                      const std::string& path);
 

@@ -6,8 +6,9 @@
 // byte-identical to the uninterrupted run — no matter where the
 // interruption landed. Four layers:
 //
-//   CYSP/CYM1 file formats: truncation at every byte is detected
-//     (spills) or salvaged to a resumable prefix (manifest).
+//   CYSP/CYM1 file formats: roundtrip and refusal here; truncation and
+//     bit flips at every byte are the CYSP and CYM1 cases of
+//     integration/segment_log_test.cpp.
 //   In-process fault matrix: ENOSPC / EIO / fsync failures injected at
 //     every write and sync ordinal of the whole merge; every torn state
 //     must resume byte-identically. Degraded mode must instead finish
@@ -33,6 +34,7 @@
 #include "cypress/spill.hpp"
 #include "driver/pipeline.hpp"
 #include "flate/flate.hpp"
+#include "integration/log_samples.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -139,124 +141,13 @@ TEST(Spill, RoundtripAndIntact) {
   EXPECT_FALSE(spillIntact(be, dir + "/missing.cysp", 0, 0));
 }
 
-TEST(Spill, TruncationAtEveryByteIsDetected) {
-  // The CYJ1-style sweep: a spill cut at ANY byte must fail the strict
-  // parser and the intact probe — there is no prefix worth salvaging in
-  // a checkpoint artifact, only "complete" and "recompute".
-  const std::string dir = freshDir("cyp_spill_sweep");
-  std::vector<uint8_t> data(2048);
-  Rng rng(11);
-  for (auto& b : data) b = static_cast<uint8_t>(rng.next());
-
-  io::IoBackend& be = io::realIo();
-  writeSpill(be, dir + "/good.cysp", data);
-  const auto good = fileBytes(dir + "/good.cysp");
-  const uint64_t crc = flate::crc32(data);
-
-  const std::string torn = dir + "/torn.cysp";
-  for (size_t len = 0; len < good.size(); ++len) {
-    writeBytes(torn, std::span<const uint8_t>(good.data(), len));
-    EXPECT_THROW(readSpill(be, torn), Error) << "prefix " << len;
-    EXPECT_FALSE(spillIntact(be, torn, data.size(), crc)) << "prefix " << len;
-  }
-  // And flipping any single byte of a complete spill is also caught.
-  Rng flips(13);
-  for (int i = 0; i < 64; ++i) {
-    auto bad = good;
-    const size_t pos = flips.below(bad.size());
-    bad[pos] ^= static_cast<uint8_t>(1 + flips.below(255));
-    writeBytes(torn, bad);
-    EXPECT_FALSE(spillIntact(be, torn, data.size(), crc)) << "flip @" << pos;
-  }
-}
-
-std::vector<uint8_t> sampleManifest(const std::string& dir,
-                                    const MergePlanKey& key) {
-  const std::string path = dir + "/sample.cym";
-  io::IoBackend& be = io::realIo();
-  be.remove(path);
-  {
-    ManifestWriter w(be, path, key);
-    BatchRecord b;
-    b.batchIndex = 0;
-    b.firstRank = 0;
-    b.rankCount = 3;
-    b.file = "b0.cysp";
-    b.fileBytes = 777;
-    b.fileCrc = 0xdeadbeef;
-    w.appendBatch(b);
-    b.batchIndex = 1;
-    b.firstRank = 3;
-    b.file.clear();  // a degraded batch
-    b.fileBytes = 0;
-    b.fileCrc = 0;
-    b.lostRanks.insert(3);
-    b.lostRanks.insert(4);
-    b.lostRanks.insert(5);
-    w.appendBatch(b);
-    MergeRecord m;
-    m.round = 0;
-    m.pairIndex = 0;
-    m.file = "r0-p0.cysp";
-    m.fileBytes = 123;
-    m.fileCrc = 42;
-    w.appendMerge(m);
-    FinalRecord f;
-    f.outPath = dir + "/out.cyp";
-    f.bytes = 999;
-    f.crc = 7;
-    w.appendFinal(f);
-  }
-  return fileBytes(path);
-}
-
-TEST(Manifest, TruncationAtEveryByteSalvagesAndResumes) {
-  const std::string dir = freshDir("cyp_manifest_sweep");
-  MergePlanKey key;
-  key.numRanks = 16;
-  key.budgetBytes = 1 << 20;
-  key.maxBatchRanks = 3;
-  const auto good = sampleManifest(dir, key);
-  io::IoBackend& be = io::realIo();
-
-  const std::string path = dir + "/torn.cym";
-  for (size_t len = 0; len <= good.size(); ++len) {
-    writeBytes(path, std::span<const uint8_t>(good.data(), len));
-    std::optional<ManifestRecovery> rec;
-    ASSERT_NO_THROW(rec = recoverManifestFile(be, path)) << "prefix " << len;
-    if (!rec) {
-      // Torn header: the file must have been reset to empty so a fresh
-      // writer can take over.
-      EXPECT_EQ(be.fileSize(path), 0u) << "prefix " << len;
-      continue;
-    }
-    EXPECT_EQ(rec->key, key) << "prefix " << len;
-    EXPECT_EQ(be.fileSize(path), len - rec->bytesDiscarded)
-        << "prefix " << len << ": torn tail not truncated";
-    // Whatever survived must accept further appends (unless the FINAL
-    // record survived — the merge is complete, nothing appends after
-    // it) and then strict-parse.
-    if (!rec->final) {
-      ManifestWriter w(be, path, key, /*resume=*/true);
-      MergeRecord m;
-      m.round = 9;
-      m.pairIndex = 9;
-      m.file = "r9-p9.cysp";
-      w.appendMerge(m);
-    }
-    ASSERT_NO_THROW(parseManifest(fileBytes(path))) << "prefix " << len;
-  }
-}
-
 TEST(Manifest, RefusesForeignFileAndNonResumeOverwrite) {
   const std::string dir = freshDir("cyp_manifest_refuse");
   io::IoBackend& be = io::realIo();
-  MergePlanKey key;
-  key.numRanks = 4;
-
-  sampleManifest(dir, key);
+  samples::writeManifest(be, dir + "/sample.cym");
   // Existing manifest without resume: refused, like the ledger.
-  EXPECT_THROW(ManifestWriter(be, dir + "/sample.cym", key), Error);
+  EXPECT_THROW(ManifestWriter(be, dir + "/sample.cym", samples::manifestKey()),
+               Error);
 
   // A file that is not a manifest at all.
   const auto junk = std::vector<uint8_t>{'n', 'o', 'p', 'e', '!', '!'};

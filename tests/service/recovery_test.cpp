@@ -1,12 +1,13 @@
 // Crash-recovery tests for the cyptraced job ledger and daemon.
 //
 // Two layers. In-process: the CYL1 ledger salvage is exercised against
-// truncation at every byte and seeded corruption — recovery never
-// crashes, the truncated file always resumes cleanly. Out-of-process:
-// the kill matrix SIGKILLs a real `cyptraced serve` at deterministic
-// ledger-segment counts mid-job (the --crash-after-segments hook),
-// restarts it with --recover, and requires every journaled job to reach
-// a terminal state with artifacts that still verify.
+// seeded corruption — recovery never crashes (truncation and bit flips
+// at every byte are the CYL1 case of integration/segment_log_test.cpp).
+// Out-of-process: the kill matrix SIGKILLs a real `cyptraced serve` at
+// deterministic ledger-segment counts mid-job (the
+// --crash-after-segments hook), restarts it with --recover, and
+// requires every journaled job to reach a terminal state with artifacts
+// that still verify.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <thread>
 
+#include "integration/log_samples.hpp"
 #include "service/client.hpp"
 #include "service/ledger.hpp"
 #include "support/error.hpp"
@@ -50,62 +52,10 @@ std::vector<uint8_t> fileBytes(const std::string& path) {
                               std::istreambuf_iterator<char>());
 }
 
-void writeBytes(const std::string& path, std::span<const uint8_t> bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-/// A representative ledger: two submits, a full lifecycle for one job,
-/// a retry transition for the other.
-std::vector<uint8_t> sampleLedger(const std::string& dir) {
-  const std::string path = dir + "/sample.cyl";
-  {
-    LedgerWriter w(path);
-    JobSpec spec;
-    spec.kind = JobKind::Run;
-    spec.target = "JACOBI";
-    spec.procs = 4;
-    spec.faultSpecs = {"drop:1@3"};
-    w.appendSubmit(1, 7, spec);
-    w.appendSubmit(2, 7, spec);
-    w.appendState(1, JobState::Running, 1, "attempt 1 of 3", "", "");
-    w.appendState(1, JobState::Done, 1, "traced 96 events",
-                  dir + "/job-1.cyp", dir + "/job-1.cyj");
-    w.appendState(2, JobState::Running, 1, "attempt 1 of 3", "", "");
-    w.appendState(2, JobState::Accepted, 1, "transient failure", "", "");
-  }
-  return fileBytes(path);
-}
-
-TEST(LedgerRecovery, TruncationAtEveryByteSalvagesAndResumes) {
-  const std::string dir = freshDir("cyp_ledger_sweep");
-  const auto good = sampleLedger(dir);
-  const std::string path = dir + "/torn.cyl";
-
-  for (size_t len = 0; len <= good.size(); ++len) {
-    writeBytes(path, std::span<const uint8_t>(good.data(), len));
-    LedgerRecovery rec;
-    ASSERT_NO_THROW(rec = recoverLedgerFile(path)) << "prefix " << len;
-    ASSERT_EQ(fs::file_size(path), len - rec.bytesDiscarded)
-        << "prefix " << len << ": torn tail not truncated";
-    // Whatever survived must resume: append a full new job lifecycle
-    // and strict-parse the result.
-    {
-      LedgerWriter w(path, /*resume=*/true);
-      JobSpec spec;
-      spec.target = "JACOBI";
-      const uint64_t id = rec.maxJobId + 1;
-      w.appendSubmit(id, 9, spec);
-      w.appendState(id, JobState::Cancelled, 1, "swept", "", "");
-    }
-    ASSERT_NO_THROW(parseLedger(fileBytes(path))) << "prefix " << len;
-  }
-}
-
 TEST(LedgerRecovery, StrictParserHoldsTheDeserializerContract) {
   const std::string dir = freshDir("cyp_ledger_fuzz");
-  const auto good = sampleLedger(dir);
+  samples::writeLedger(dir + "/sample.cyl");
+  const auto good = fileBytes(dir + "/sample.cyl");
 
   verify::FuzzOptions fo;
   fo.seed = 0x1ED6E4;

@@ -1,7 +1,8 @@
 // CYJ1 crash-consistent journal tests: builder/parser roundtrip, seal
-// semantics, strict-vs-lenient reader behaviour, and the core recovery
-// guarantee — a journal truncated at ANY byte recovers to a verified
-// prefix of the uninterrupted run's trace.
+// semantics, strict-vs-lenient reader behaviour, and recovery of a
+// crashed run. The core recovery guarantee — a journal cut or flipped
+// at ANY byte recovers to a verified prefix of the uninterrupted run's
+// trace — is the CYJ1 case of integration/segment_log_test.cpp.
 #include <gtest/gtest.h>
 
 #include "driver/pipeline.hpp"
@@ -103,78 +104,6 @@ TEST(Journal, MatchesRawTraceOnCleanRun) {
   for (size_t r = 0; r < run.raw.ranks.size(); ++r)
     EXPECT_EQ(rec.trace.ranks[r].events, run.raw.ranks[r].events)
         << "rank " << r;
-}
-
-TEST(Journal, TruncationAtEveryByteRecoversAVerifiedPrefix) {
-  // The headline guarantee: kill the writer at ANY byte and recovery
-  // yields per-rank event sequences that are exact prefixes of the
-  // uninterrupted run's — never garbage, never an exception other than
-  // the bad-header Error on sub-header prefixes.
-  const auto bytes = journalOf("CG", 8);
-  const auto full = trace::recoverJournal(bytes);
-  ASSERT_TRUE(full.sealed);
-  size_t headerErrors = 0;
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    const std::span<const uint8_t> prefix(bytes.data(), len);
-    trace::JournalRecovery rec;
-    try {
-      rec = trace::recoverJournal(prefix);
-    } catch (const Error&) {
-      ++headerErrors;
-      ASSERT_LT(len, 16u) << "header error at implausible offset " << len;
-      continue;
-    }
-    ASSERT_FALSE(rec.sealed) << "prefix of " << len << " claims to be sealed";
-    ASSERT_EQ(rec.trace.ranks.size(), full.trace.ranks.size());
-    for (size_t r = 0; r < full.trace.ranks.size(); ++r) {
-      const auto& got = rec.trace.ranks[r].events;
-      const auto& want = full.trace.ranks[r].events;
-      ASSERT_LE(got.size(), want.size()) << "len " << len << " rank " << r;
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
-          << "len " << len << ": rank " << r
-          << " recovered events are not a prefix of the full trace";
-    }
-    ASSERT_LE(rec.bytesDiscarded, len);
-  }
-  EXPECT_GT(headerErrors, 0u);  // the sub-header region exists
-  // And the untruncated journal recovers losslessly.
-  EXPECT_EQ(trace::recoverJournal(bytes).trace.serialize(),
-            full.trace.serialize());
-}
-
-TEST(Journal, SingleByteCorruptionNeverYieldsGarbage) {
-  // Flip every byte in turn: recovery must still produce a (possibly
-  // shorter) prefix, or reject the header — never crash, never invent
-  // events past the damage point.
-  trace::JournalBuilder b(2);
-  std::vector<trace::Event> events;
-  for (int i = 0; i < 12; ++i) events.push_back(ev(i, 8 * (i + 1)));
-  b.appendEvents(0, std::span<const trace::Event>(events.data(), 6));
-  b.appendEvents(1, events);
-  b.appendEvents(0, std::span<const trace::Event>(events.data() + 6, 6));
-  b.appendFinalize(0);
-  b.appendFinalize(1);
-  b.seal(RankSet{});
-  const auto good = b.bytes();
-  const auto full = trace::recoverJournal(good);
-
-  for (size_t pos = 0; pos < good.size(); ++pos) {
-    auto bad = good;
-    bad[pos] ^= 0x41;
-    trace::JournalRecovery rec;
-    try {
-      rec = trace::recoverJournal(bad);
-    } catch (const Error&) {
-      continue;  // header damage: structured rejection is fine
-    }
-    for (size_t r = 0; r < rec.trace.ranks.size() && r < 2; ++r) {
-      const auto& got = rec.trace.ranks[r].events;
-      const auto& want = full.trace.ranks[r].events;
-      EXPECT_TRUE(got.size() <= want.size() &&
-                  std::equal(got.begin(), got.end(), want.begin()))
-          << "flip at " << pos << " invented events on rank " << r;
-    }
-  }
 }
 
 TEST(Journal, CrashedRunSealsWithLostRanksAndSurvivorsRecover) {

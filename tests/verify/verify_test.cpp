@@ -9,6 +9,7 @@
 #include "driver/pipeline.hpp"
 #include "flate/flate.hpp"
 #include "flate/lz77.hpp"
+#include "integration/log_samples.hpp"
 #include "scalatrace/inter.hpp"
 #include "scalatrace/recorder.hpp"
 #include "support/error.hpp"
@@ -172,6 +173,25 @@ TEST(Fuzz, JournalStrictParser) {
   expectFuzzClean(bytes,
                   [](std::span<const uint8_t> d) { trace::parseJournal(d); },
                   /*seed=*/7);
+}
+
+TEST(Fuzz, SpillStrictParser) {
+  // A CYSP spill holding a real merged trace, as the streaming merge
+  // writes one: its strict reader must decode or raise cypress::Error.
+  const auto run = runAllTools("CG", 8);
+  const std::string path = samples::freshDir("cyp_fuzz_cysp") + "/m.cysp";
+  core::writeSpill(io::realIo(), path, driver::mergeCypress(run).serialize());
+  expectFuzzClean(samples::fileBytes(path),
+                  [](std::span<const uint8_t> d) { core::parseSpill(d); },
+                  /*seed=*/10);
+}
+
+TEST(Fuzz, ManifestStrictParser) {
+  const std::string path = samples::freshDir("cyp_fuzz_cym") + "/m.cym";
+  samples::writeManifest(io::realIo(), path);
+  expectFuzzClean(samples::fileBytes(path),
+                  [](std::span<const uint8_t> d) { core::parseManifest(d); },
+                  /*seed=*/11);
 }
 
 TEST(Fuzz, JournalRecoveryPath) {
@@ -352,7 +372,7 @@ TEST(Lz77, CompressionRatioOnFig15Corpus) {
   for (const char* name : {"CG", "JACOBI", "MG"}) {
     const auto run = runAllTools(name, 8);
     const auto raw = run.raw.serialize();
-    const size_t packed = flate::compressedSize(raw);
+    const size_t packed = flate::compress(raw).size();
     EXPECT_LT(packed * 2, raw.size())
         << name << ": raw " << raw.size() << "B compressed to only " << packed
         << "B";
