@@ -50,6 +50,15 @@ size_t RunOutput::cypressMemoryPerRank() const { return avgMemory(cypress); }
 size_t RunOutput::scalaMemoryPerRank() const { return avgMemory(scala); }
 size_t RunOutput::scala2MemoryPerRank() const { return avgMemory(scala2); }
 
+size_t RunOutput::eventCount() const {
+  CYP_CHECK(!cypress.empty(), "eventCount: run has no CYPRESS recorders");
+  size_t n = 0;
+  for (const auto& rec : cypress)
+    for (int g = 0; g < rec->ctt().cst().numNodes(); ++g)
+      n += rec->ctt().leafExec(g).size();
+  return n;
+}
+
 RankSet RunOutput::lostRanks() const {
   RankSet lost;
   for (int r : runStats.deadRanks) lost.insert(r);
@@ -112,7 +121,7 @@ RunOutput runSource(const std::string& name, const std::string& source,
   simmpi::Engine::Config cfg = opts.engine;
   cfg.numRanks = opts.procs;
   simmpi::Engine engine(cfg);
-  out.raw.ranks.resize(static_cast<size_t>(opts.procs));
+  if (opts.withRaw) out.raw.ranks.resize(static_cast<size_t>(opts.procs));
   if (opts.withJournal)
     out.journal =
         std::make_unique<trace::JournalBuilder>(opts.procs, opts.journalSink);

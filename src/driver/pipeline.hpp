@@ -65,6 +65,15 @@ struct Options {
   /// RunOutput::rankTraceFiles. Ranks that did not finalize get an
   /// empty entry.
   bool emitRankTraces = false;
+  /// Baseline recorders, kept for comparing CYPRESS against: the raw
+  /// event trace (and its gzip, sizeof(trace::Event) per event held in
+  /// RAM) and ScalaTrace V1/V2. Only the callers that read a baseline
+  /// should pay for it: `cyptrace compare` and `cyptrace verify` turn
+  /// all three on, the paper benches under bench/ pick per figure, and
+  /// perfbench's raw-answer oracle and its `full` layer stage read
+  /// RunOutput::raw. `cyptrace run` and the cyptraced RUN job record
+  /// CYPRESS only and report RunOutput::eventCount(). withRaw defaults
+  /// to true because library callers, perfbench included, read `raw`.
   bool withRaw = true;
   bool withScala = true;
   bool withScala2 = true;
@@ -115,6 +124,7 @@ struct RunOutput {
   cst::CompileStats compileStats;
   double plainCompileSeconds = 0.0;  // compile without the CYPRESS pass
 
+  /// One entry per rank when Options::withRaw, empty otherwise.
   trace::RawTrace raw;
   std::vector<std::unique_ptr<core::CttRecorder>> cypress;
   std::vector<std::unique_ptr<scalatrace::Recorder>> scala;
@@ -128,6 +138,13 @@ struct RunOutput {
   /// Options::emitRankTraces); index is the rank, entries for
   /// unfinalized (killed/stalled) ranks are empty.
   std::vector<std::vector<uint8_t>> rankTraceFiles;
+
+  /// Events the run emitted, read off the CYPRESS recorders (requires
+  /// Options::withCypress): every event appends exactly one value to
+  /// its leaf's leafExec sequence, so this equals raw.totalEvents()
+  /// without recording the raw trace. Killed ranks count their partial
+  /// events.
+  size_t eventCount() const;
 
   /// Ranks whose traces are incomplete: killed by the fault plan or
   /// still blocked when a stalled run was salvaged.

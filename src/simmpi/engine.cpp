@@ -98,7 +98,7 @@ void Engine::deliver(const Message& m) {
   RankState& dst = rs(m.dst);
   // Try posted receives in posting order (MPI non-overtaking rule).
   for (size_t i = 0; i < dst.pendingRecvs.size(); ++i) {
-    Request& req = dst.requests[static_cast<size_t>(dst.pendingRecvs[i])];
+    Request& req = request(dst, dst.pendingRecvs[i]);
     if (!req.complete && matches(req, m)) {
       checkTruncation(req, m);
       req.complete = true;
@@ -114,7 +114,7 @@ void Engine::deliver(const Message& m) {
 
 bool Engine::tryMatchRecv(int rank, int64_t reqIdx) {
   RankState& r = rs(rank);
-  Request& req = r.requests[static_cast<size_t>(reqIdx)];
+  Request& req = request(r, reqIdx);
   // Deterministic match order. For a specific source the deque scan is
   // FIFO per (src, tag, comm) pair, as MPI requires. For MPI_ANY_SOURCE
   // the match must be a function of the *set* of buffered messages, not
@@ -139,11 +139,7 @@ bool Engine::tryMatchRecv(int rank, int64_t reqIdx) {
 
 Engine::Collective& Engine::collectiveSlot(int comm, int seq) {
   auto& dq = collectives_[comm];
-  int& base = collBase_[comm];
-  if (dq.empty() && seq >= base) {
-    // Drop fully-consumed prefix lazily by re-basing.
-    base = base == 0 && seq == 0 ? 0 : base;
-  }
+  const int base = collBase_[comm];
   CYP_CHECK(seq >= base, "collective sequence went backwards");
   while (static_cast<size_t>(seq - base) >= dq.size()) {
     Collective c;
@@ -151,6 +147,17 @@ Engine::Collective& Engine::collectiveSlot(int comm, int seq) {
     dq.push_back(std::move(c));
   }
   return dq[static_cast<size_t>(seq - base)];
+}
+
+void Engine::departCollective(int comm, Collective& c) {
+  ++c.departed;
+  const int members = static_cast<int>(commMembers(comm).size());
+  auto& dq = collectives_.at(comm);
+  int& base = collBase_.at(comm);
+  while (!dq.empty() && dq.front().departed == members) {
+    dq.pop_front();
+    ++base;
+  }
 }
 
 void Engine::completeSplit(int comm, Collective& c) {
@@ -239,6 +246,7 @@ OpStatus Engine::handleCollective(int rank, const OpDesc& d) {
       r.opResult = e.reqId;
     }
     emit(rank, e, c.finishNs - arrive);
+    departCollective(d.comm, c);
     return OpStatus::Complete;
   }
 
@@ -308,8 +316,7 @@ OpStatus Engine::execute(int rank, const OpDesc& d, int64_t* reqIdOut) {
       req.postSite = d.callSiteId;
       req.complete = true;  // eager: buffer reusable after local copy
       req.completeNs = r.clock + jittered(net_.sendOverhead(d.bytes), rank);
-      r.requests.push_back(req);
-      const int64_t id = static_cast<int64_t>(r.requests.size()) - 1;
+      const int64_t id = post(r, req);
       r.outstanding.push_back(id);
       if (reqIdOut) *reqIdOut = id;
       Message m{rank, d.peer, d.tag, d.comm, d.bytes,
@@ -335,8 +342,7 @@ OpStatus Engine::execute(int rank, const OpDesc& d, int64_t* reqIdOut) {
       req.tag = d.tag;
       req.comm = d.comm;
       req.postSite = d.callSiteId;
-      r.requests.push_back(req);
-      const int64_t id = static_cast<int64_t>(r.requests.size()) - 1;
+      const int64_t id = post(r, req);
       r.outstanding.push_back(id);
       if (reqIdOut) *reqIdOut = id;
       if (!tryMatchRecv(rank, id)) r.pendingRecvs.push_back(id);
@@ -361,30 +367,33 @@ OpStatus Engine::execute(int rank, const OpDesc& d, int64_t* reqIdOut) {
       req.comm = d.comm;
       req.postSite = d.callSiteId;
       req.consumed = true;  // not visible to Waitall/Waitany
-      r.requests.push_back(req);
-      const int64_t id = static_cast<int64_t>(r.requests.size()) - 1;
+      const int64_t id = post(r, req);
       r.pending.kind = PendingKind::Recv;
       r.pending.desc = d;
       r.pending.reqIdx = id;
       r.pending.blockStartNs = r.clock;
       if (!tryMatchRecv(rank, id)) {
         r.pendingRecvs.push_back(id);
-        if (!r.requests[static_cast<size_t>(id)].complete) return OpStatus::Blocked;
+        if (!request(r, id).complete) return OpStatus::Blocked;
       }
       completePending(rank);
       return OpStatus::Complete;
     }
     case ir::MpiOp::Wait: {
       CYP_CHECK(d.waitReqId >= 0 &&
-                    d.waitReqId < static_cast<int64_t>(r.requests.size()),
+                    d.waitReqId < r.reqBase +
+                                      static_cast<int64_t>(r.requests.size()),
                 "Wait on invalid request " << d.waitReqId);
-      Request& req = r.requests[static_cast<size_t>(d.waitReqId)];
-      CYP_CHECK(!req.consumed, "Wait on already-completed request");
+      // A retired id (no live entry) was consumed before it left the table.
+      const Request* req =
+          d.waitReqId >= r.reqBase ? &request(r, d.waitReqId) : nullptr;
+      CYP_CHECK(req != nullptr && !req->consumed,
+                "Wait on already-completed request");
       r.pending.kind = PendingKind::Wait;
       r.pending.desc = d;
       r.pending.reqIdx = d.waitReqId;
       r.pending.blockStartNs = r.clock;
-      if (!req.complete) return OpStatus::Blocked;
+      if (!req->complete) return OpStatus::Blocked;
       completePending(rank);
       return OpStatus::Complete;
     }
@@ -422,10 +431,10 @@ bool Engine::pendingSatisfied(int rank) {
       return false;
     case PendingKind::Recv:
     case PendingKind::Wait:
-      return r.requests[static_cast<size_t>(r.pending.reqIdx)].complete;
+      return request(r, r.pending.reqIdx).complete;
     case PendingKind::Waitall: {
       for (int64_t id : r.outstanding)
-        if (!r.requests[static_cast<size_t>(id)].complete) return false;
+        if (!request(r, id).complete) return false;
       return true;
     }
     case PendingKind::Waitany:
@@ -435,7 +444,7 @@ bool Engine::pendingSatisfied(int rank) {
                 ir::mpiOpName(r.pending.desc.op)
                     << " with no outstanding requests on rank " << rank);
       for (int64_t id : r.outstanding)
-        if (r.requests[static_cast<size_t>(id)].complete) return true;
+        if (request(r, id).complete) return true;
       return false;
     }
     case PendingKind::Collective: {
@@ -456,7 +465,7 @@ void Engine::completePending(int rank) {
     case PendingKind::None:
       CYP_FAIL("completePending with no pending op");
     case PendingKind::Recv: {
-      Request& req = r.requests[static_cast<size_t>(p.reqIdx)];
+      Request& req = request(r, p.reqIdx);
       const uint64_t done =
           std::max(req.completeNs, r.clock) + net_.recvOverhead(req.bytes);
       const uint64_t duration = done - p.blockStartNs;
@@ -470,10 +479,10 @@ void Engine::completePending(int rank) {
       e.callSiteId = p.desc.callSiteId;
       if (p.desc.peer == trace::kAnySource) e.matchedSource = req.matchedSource;
       emit(rank, e, duration);
-      return;
+      break;
     }
     case PendingKind::Wait: {
-      Request& req = r.requests[static_cast<size_t>(p.reqIdx)];
+      Request& req = request(r, p.reqIdx);
       req.consumed = true;
       std::erase(r.outstanding, p.reqIdx);
       const uint64_t done = std::max(req.completeNs, r.clock) +
@@ -493,12 +502,12 @@ void Engine::completePending(int rank) {
       if (req.kind == ir::MpiOp::Irecv && req.peer == trace::kAnySource)
         e.matchedSource = req.matchedSource;
       emit(rank, e, duration);
-      return;
+      break;
     }
     case PendingKind::Waitall: {
       uint64_t done = r.clock;
       for (int64_t id : r.outstanding) {
-        Request& q = r.requests[static_cast<size_t>(id)];
+        Request& q = request(r, id);
         q.consumed = true;
         done = std::max(done, q.completeNs);
       }
@@ -511,21 +520,21 @@ void Engine::completePending(int rank) {
       e.comm = p.desc.comm;
       e.callSiteId = p.desc.callSiteId;
       emit(rank, e, duration);
-      return;
+      break;
     }
     case PendingKind::Waitany: {
       // Deterministic: the earliest-completed outstanding request.
       int64_t best = -1;
       for (int64_t id : r.outstanding) {
-        const Request& q = r.requests[static_cast<size_t>(id)];
+        const Request& q = request(r, id);
         if (!q.complete) continue;
         if (best < 0 ||
-            q.completeNs < r.requests[static_cast<size_t>(best)].completeNs) {
+            q.completeNs < request(r, best).completeNs) {
           best = id;
         }
       }
       CYP_CHECK(best >= 0, "Waitany completed without a complete request");
-      Request& req = r.requests[static_cast<size_t>(best)];
+      Request& req = request(r, best);
       req.consumed = true;
       std::erase(r.outstanding, best);
       const uint64_t done = std::max(req.completeNs, r.clock) +
@@ -543,7 +552,7 @@ void Engine::completePending(int rank) {
       if (req.kind == ir::MpiOp::Irecv && req.peer == trace::kAnySource)
         e.matchedSource = req.matchedSource;
       emit(rank, e, duration);
-      return;
+      break;
     }
     case PendingKind::Waitsome: {
       // Complete every currently-complete outstanding request, emitting
@@ -551,11 +560,11 @@ void Engine::completePending(int rank) {
       // recorded via their posting-site GIDs, §IV-A).
       std::vector<int64_t> ready;
       for (int64_t id : r.outstanding)
-        if (r.requests[static_cast<size_t>(id)].complete) ready.push_back(id);
+        if (request(r, id).complete) ready.push_back(id);
       CYP_CHECK(!ready.empty(), "Waitsome completed without a complete request");
       uint64_t done = r.clock;
       for (int64_t id : ready) {
-        Request& req = r.requests[static_cast<size_t>(id)];
+        Request& req = request(r, id);
         req.consumed = true;
         std::erase(r.outstanding, id);
         done = std::max(done, req.completeNs);
@@ -564,7 +573,7 @@ void Engine::completePending(int rank) {
       const uint64_t total = done - p.blockStartNs;
       r.clock = done;
       for (size_t k = 0; k < ready.size(); ++k) {
-        const Request& req = r.requests[static_cast<size_t>(ready[k])];
+        const Request& req = request(r, ready[k]);
         trace::Event e;
         e.op = ir::MpiOp::Waitsome;
         e.peer = req.peer;
@@ -578,12 +587,12 @@ void Engine::completePending(int rank) {
         // Charge the wall time once (on the first completion event).
         emit(rank, e, k == 0 ? total : 0);
       }
-      return;
+      break;
     }
     case PendingKind::Collective: {
-      const auto& dq = collectives_.at(p.desc.comm);
+      auto& dq = collectives_.at(p.desc.comm);
       const int base = collBase_.at(p.desc.comm);
-      const Collective& c = dq[static_cast<size_t>(p.reqIdx - base)];
+      Collective& c = dq[static_cast<size_t>(p.reqIdx - base)];
       const uint64_t duration = c.finishNs - p.blockStartNs;
       r.clock = c.finishNs;
       trace::Event e;
@@ -599,8 +608,16 @@ void Engine::completePending(int rank) {
         r.opResult = e.reqId;
       }
       emit(rank, e, duration);
-      return;
+      departCollective(p.desc.comm, c);
+      break;
     }
+  }
+  // Retire the consumed, completed prefix. Ids stay monotonic: reqBase
+  // advances past every retired request, and no live request moves.
+  while (!r.requests.empty() && r.requests.front().consumed &&
+         r.requests.front().complete) {
+    r.requests.pop_front();
+    ++r.reqBase;
   }
 }
 
@@ -617,12 +634,12 @@ void Engine::finalizeRank(int rank) {
   RankState& r = rs(rank);
   CYP_CHECK(r.pending.kind == PendingKind::None,
             "rank " << rank << " finalized with a pending op");
-  for (size_t i = 0; i < r.requests.size(); ++i) {
-    CYP_CHECK(r.requests[i].consumed,
-              "rank " << rank << " finalized with outstanding request " << i);
-  }
+  // Every live unconsumed request is outstanding (a blocking Recv is
+  // consumed when posted and was ruled out by the pending check), and
+  // `outstanding` is in posting order: front() is the lowest such id.
   CYP_CHECK(r.outstanding.empty(),
-            "rank " << rank << " finalized with outstanding requests");
+            "rank " << rank << " finalized with outstanding request "
+                    << r.outstanding.front());
   r.finalized = true;
   if (r.observer) r.observer->onFinalize();
 }
@@ -718,7 +735,7 @@ Engine::RankDiagnostic Engine::diagnose(int rank) const {
     }
     case PendingKind::Wait: {
       d.seq = r.pending.reqIdx;
-      const Request& q = r.requests[static_cast<size_t>(r.pending.reqIdx)];
+      const Request& q = request(r, r.pending.reqIdx);
       d.peer = q.peer;
       d.tag = q.tag;
       d.comm = q.comm;
@@ -732,7 +749,7 @@ Engine::RankDiagnostic Engine::diagnose(int rank) const {
     case PendingKind::Waitsome: {
       int incomplete = 0;
       for (int64_t id : r.outstanding) {
-        const Request& q = r.requests[static_cast<size_t>(id)];
+        const Request& q = request(r, id);
         if (q.complete) continue;
         if (incomplete++ > 0) why << ", ";
         why << ir::mpiOpName(q.kind) << "(peer=" << q.peer

@@ -182,7 +182,11 @@ class Engine {
     uint64_t commTime = 0;
     uint64_t computeAccum = 0;  // compute since previous event
     Rng rng{0};                 // per-rank jitter stream (thread-isolated)
-    std::vector<Request> requests;
+    // Live requests: ids reqBase .. reqBase + requests.size() - 1. Ids
+    // are handed out monotonically; completePending retires the
+    // consumed prefix, so the table holds live state, not history.
+    std::deque<Request> requests;
+    int64_t reqBase = 0;
     std::vector<int64_t> outstanding;    // non-blocking requests not yet waited
     std::deque<Message> unexpected;      // arrived, unmatched messages
     std::vector<int64_t> pendingRecvs;   // posted, unmatched recv requests
@@ -204,6 +208,7 @@ class Engine {
     int64_t bytes = 0;
     int32_t root = -1;
     int arrived = 0;
+    int departed = 0;  // members that have completed it
     bool done = false;
     uint64_t finishNs = 0;
     // per-rank arrival info (clock, callSiteId); index by world rank.
@@ -216,6 +221,19 @@ class Engine {
 
   RankState& rs(int rank) { return ranks_[static_cast<size_t>(rank)]; }
   const RankState& rs(int rank) const { return ranks_[static_cast<size_t>(rank)]; }
+
+  /// A live request by id (must not be retired).
+  static Request& request(RankState& r, int64_t id) {
+    return r.requests[static_cast<size_t>(id - r.reqBase)];
+  }
+  static const Request& request(const RankState& r, int64_t id) {
+    return r.requests[static_cast<size_t>(id - r.reqBase)];
+  }
+  /// Append a request and return its id.
+  static int64_t post(RankState& r, const Request& req) {
+    r.requests.push_back(req);
+    return r.reqBase + static_cast<int64_t>(r.requests.size()) - 1;
+  }
 
   uint64_t jittered(uint64_t ns, int rank);
   void emit(int rank, trace::Event e, uint64_t durationNs);
@@ -239,6 +257,9 @@ class Engine {
   void injectSendFaults(int rank, Message m);
 
   Collective& collectiveSlot(int comm, int seq);
+  /// Count one member's completion of `c`; retires the front of the
+  /// comm's queue once every member has completed it. Invalidates `c`.
+  void departCollective(int comm, Collective& c);
 
   void completeSplit(int comm, Collective& c);
 
@@ -247,7 +268,8 @@ class Engine {
   LogGP net_;
   double jitter_;
   FaultPlan faults_;
-  // Collectives per communicator, indexed by sequence number.
+  // Live collectives per communicator, indexed by sequence number
+  // minus collBase_; departCollective retires the completed prefix.
   std::map<int, std::deque<Collective>> collectives_;
   std::map<int, int> collBase_;  // first live sequence number per comm
   bool progress_ = false;

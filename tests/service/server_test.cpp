@@ -176,6 +176,10 @@ TEST(Server, ArtifactByteIdenticalToDirectPipelineRun) {
 
   EXPECT_EQ(fileBytes(st->artifactPath), reference)
       << "daemon artifact diverged from the direct pipeline";
+  // The job records no raw trace; its DONE detail must still report the
+  // raw trace's event count, in the same words.
+  EXPECT_EQ(st->detail, "traced " + std::to_string(run.raw.totalEvents()) +
+                            " events on 4 ranks");
   server.stop();
 }
 

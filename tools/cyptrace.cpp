@@ -254,6 +254,7 @@ driver::RunOutput runTarget(const Args& a, bool allTools) {
   opts.procs = a.procs;
   opts.scale = a.scale;
   opts.threads = a.threads;
+  opts.withRaw = allTools;
   opts.withScala = allTools;
   opts.withScala2 = allTools;
   for (const std::string& spec : a.faultSpecs)
@@ -287,7 +288,7 @@ int cmdRun(const Args& a) {
     writer.commit();
   }
   std::printf("traced %s on %d ranks: %zu events -> %s (%s)\n", a.target.c_str(),
-              a.procs, run.raw.totalEvents(), out.c_str(),
+              a.procs, run.eventCount(), out.c_str(),
               humanBytes(outBytes).c_str());
   if (!run.runStats.clean()) {
     std::printf("partial run:");
