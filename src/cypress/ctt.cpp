@@ -55,6 +55,8 @@ Ctt Ctt::deserialize(std::span<const uint8_t> data, const cst::Tree& cst) {
                 << n << " vs " << cst.numNodes() << ")");
   for (uint64_t g = 0; g < n; ++g) {
     c.loopCounts_[g] = SectionSeq::deserialize(r);
+    CYP_CHECK(!c.loopCounts_[g].hasNegative(),
+              "per-process trace: negative loop count at gid " << g);
     c.taken_[g] = SectionSeq::deserialize(r);
     c.leafExec_[g] = SectionSeq::deserialize(r);
     const uint64_t nr = r.checkedCount(r.uv(), CommRecord::kMinSerializedBytes);

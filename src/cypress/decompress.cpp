@@ -1,187 +1,142 @@
 #include "cypress/decompress.hpp"
 
-#include <optional>
-
 #include "support/error.hpp"
 
 namespace cypress::core {
 
+RankReader::RankReader(const MergedCtt& m, int rank) : rank_(rank) {
+  const int n = m.cst().numNodes();
+  loops_.resize(static_cast<size_t>(n));
+  taken_.resize(static_cast<size_t>(n));
+  leaves_.resize(static_cast<size_t>(n));
+  exec_.assign(static_cast<size_t>(n), 0);
+  for (int g = 0; g < n; ++g) {
+    const auto i = static_cast<size_t>(g);
+    if (const SectionSeq* s = m.loopSeqFor(g, rank)) loops_[i].emplace(*s);
+    if (const SectionSeq* s = m.takenSeqFor(g, rank)) taken_[i].emplace(*s);
+    if (const LeafEntry* e = m.leafFor(g, rank)) {
+      LeafState& l = leaves_[i];
+      l.exec.emplace(e->execOrdinals);
+      l.recs.reserve(e->records.size());
+      for (const CommRecord& rec : e->records) {
+        std::optional<SectionSeq::Cursor> matched;
+        if (!rec.matchedSources.empty()) matched = rec.matchedSources.cursor();
+        l.recs.push_back(RecState{rec.ordinals.cursor(), matched, &rec});
+      }
+    }
+  }
+}
+
+uint64_t RankReader::loopCount(int gid) {
+  auto& cur = loops_[static_cast<size_t>(gid)];
+  CYP_CHECK(cur.has_value() && !cur->done(),
+            "decompress: missing loop activation at gid " << gid);
+  const int64_t iters = cur->next();
+  CYP_CHECK(iters >= 0,
+            "decompress: negative iteration count at gid " << gid);
+  return static_cast<uint64_t>(iters);
+}
+
+void RankReader::fillEvent(int gid, trace::Event& e) {
+  LeafState& l = leaves_[static_cast<size_t>(gid)];
+  CYP_CHECK(l.exec.has_value(),
+            "decompress: rank " << rank_ << " has no records at gid " << gid);
+  // Select the record whose next occurrence ordinal is now.
+  const int64_t n = static_cast<int64_t>(l.nextOrdinal++);
+  RecState* state = nullptr;
+  for (RecState& rs : l.recs) {
+    if (!rs.ord.done() && rs.ord.peek() == n) {
+      state = &rs;
+      break;
+    }
+  }
+  CYP_CHECK(state != nullptr, "decompress: no record covers occurrence "
+                                  << n << " at gid " << gid);
+  state->ord.next();
+  const CommRecord& rec = *state->rec;
+
+  e = trace::Event{};
+  e.op = rec.op;
+  e.peer = rec.peer.decode(rank_);
+  e.bytes = rec.bytes;
+  e.tag = rec.tag;
+  e.comm = rec.comm;
+  e.callSiteId = rec.callSiteId;
+  e.reqId = rec.reqSite;
+  if (state->matched.has_value())
+    e.matchedSource = static_cast<int32_t>(state->matched->next()) + rank_;
+  e.durationNs = static_cast<uint64_t>(rec.duration.mean());
+  e.computeNs = static_cast<uint64_t>(rec.compute.mean());
+}
+
+void RankReader::checkDrained() const {
+  for (size_t g = 0; g < leaves_.size(); ++g) {
+    CYP_CHECK(!loops_[g].has_value() || loops_[g]->done(),
+              "decompress: loop activations left over at gid " << g);
+    CYP_CHECK(!taken_[g].has_value() || taken_[g]->done(),
+              "decompress: branch outcomes left over at gid " << g);
+    const LeafState& l = leaves_[g];
+    CYP_CHECK(!l.exec.has_value() || l.exec->done(),
+              "decompress: leaf occurrences left over at gid " << g);
+    for (const RecState& rs : l.recs) {
+      CYP_CHECK(rs.ord.done(), "decompress: records left over at gid " << g);
+      CYP_CHECK(!rs.matched.has_value() || rs.matched->done(),
+                "decompress: matched sources left over at gid " << g);
+    }
+  }
+}
+
+size_t RankReader::memoryBytes() const {
+  size_t bytes = loops_.capacity() * sizeof(loops_[0]) +
+                 taken_.capacity() * sizeof(taken_[0]) +
+                 leaves_.capacity() * sizeof(LeafState) +
+                 exec_.capacity() * sizeof(uint64_t);
+  for (const LeafState& l : leaves_)
+    bytes += l.recs.capacity() * sizeof(RecState);
+  return bytes;
+}
+
 namespace {
 
-class Replayer {
- public:
-  Replayer(const MergedCtt& m, int rank) : m_(m), rank_(rank) {
-    const int n = m.cst().numNodes();
-    loopCur_.resize(static_cast<size_t>(n));
-    takenCur_.resize(static_cast<size_t>(n));
-    leaf_.resize(static_cast<size_t>(n));
-    for (int g = 0; g < n; ++g) {
-      if (const SectionSeq* s = seqFor(m.loopEntries(g)))
-        loopCur_[static_cast<size_t>(g)].emplace(*s);
-      if (const SectionSeq* s = seqFor(m.takenEntries(g)))
-        takenCur_[static_cast<size_t>(g)].emplace(*s);
-      for (const LeafEntry& e : m.leafEntries(g)) {
-        if (e.ranks.contains(rank)) {
-          LeafCursor& c = leaf_[static_cast<size_t>(g)];
-          c.entry = &e;
-          c.execCursor.emplace(e.execOrdinals);
-          for (const CommRecord& rec : e.records) {
-            c.recs.push_back(RecState{rec.ordinals.cursor(),
-                                      rec.matchedSources.empty()
-                                          ? std::optional<SectionSeq::Cursor>()
-                                          : std::optional<SectionSeq::Cursor>(
-                                                rec.matchedSources.cursor()),
-                                      &rec});
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  std::vector<trace::Event> run() {
-    replay(m_.cst().root());
-    checkDrained();
-    return std::move(out_);
-  }
-
- private:
-  struct RecState {
-    SectionSeq::Cursor ord;
-    std::optional<SectionSeq::Cursor> matched;
-    const CommRecord* rec;
-  };
-  struct LeafCursor {
-    const LeafEntry* entry = nullptr;
-    uint64_t nextOrdinal = 0;
-    std::optional<SectionSeq::Cursor> execCursor;
-    std::vector<RecState> recs;
-  };
-
-  const SectionSeq* seqFor(const std::vector<SeqEntry>& entries) const {
-    for (const SeqEntry& e : entries)
-      if (e.ranks.contains(rank_)) return &e.seq;
-    return nullptr;
-  }
-
-  void emitNext(const cst::Node* leaf) {
-    LeafCursor& c = leaf_[static_cast<size_t>(leaf->gid)];
-    CYP_CHECK(c.entry != nullptr,
-              "decompress: rank " << rank_ << " has no records at gid "
-                                  << leaf->gid);
-    // Select the record whose next occurrence ordinal is now.
-    const int64_t n = static_cast<int64_t>(c.nextOrdinal++);
-    RecState* state = nullptr;
-    for (RecState& rs : c.recs) {
-      if (!rs.ord.done() && rs.ord.peek() == n) {
-        state = &rs;
+// The recursive pre-order walk. It stays separate from the cursor's
+// explicit-stack walk because draining the cursor is measurably slower
+// (DESIGN.md §4, item 8); both read the payload through RankReader.
+void walk(RankReader& rd, const cst::Node* n, std::vector<trace::Event>& out) {
+  const uint64_t g = rd.enter(n->gid);
+  for (const auto& childPtr : n->children) {
+    const cst::Node* child = childPtr.get();
+    switch (child->kind) {
+      case cst::NodeKind::Comm:
+        // Every occurrence recorded for this execution of the enclosing
+        // region: exactly one for ordinary leaves; zero or several for
+        // partial-completion ops and recursion unwinds.
+        while (rd.takeLeaf(child->gid, g))
+          rd.fillEvent(child->gid, out.emplace_back());
         break;
-      }
-    }
-    CYP_CHECK(state != nullptr,
-              "decompress: no record covers occurrence " << n << " at gid "
-                                                         << leaf->gid);
-    state->ord.next();
-    const CommRecord& rec = *state->rec;
-
-    trace::Event e;
-    e.op = rec.op;
-    e.peer = rec.peer.decode(rank_);
-    e.bytes = rec.bytes;
-    e.tag = rec.tag;
-    e.comm = rec.comm;
-    e.callSiteId = rec.callSiteId;
-    e.reqId = rec.reqSite;
-    if (state->matched.has_value()) {
-      e.matchedSource = static_cast<int32_t>(state->matched->next()) + rank_;
-    }
-    e.durationNs = static_cast<uint64_t>(rec.duration.mean());
-    e.computeNs = static_cast<uint64_t>(rec.compute.mean());
-    out_.push_back(e);
-  }
-
-  void replay(const cst::Node* n) {
-    const uint64_t g = exec(n)++;
-    for (const auto& childPtr : n->children) {
-      const cst::Node* child = childPtr.get();
-      switch (child->kind) {
-        case cst::NodeKind::Comm: {
-          // Emit every occurrence recorded for this execution of the
-          // enclosing region (exactly one for ordinary leaves; zero or
-          // several for partial-completion ops and recursion unwinds).
-          LeafCursor& lc = leaf_[static_cast<size_t>(child->gid)];
-          while (lc.execCursor.has_value() && !lc.execCursor->done() &&
-                 lc.execCursor->peek() == static_cast<int64_t>(g)) {
-            lc.execCursor->next();
-            emitNext(child);
-          }
-          break;
-        }
-        case cst::NodeKind::Loop: {
-          auto& cur = loopCur_[static_cast<size_t>(child->gid)];
-          CYP_CHECK(cur.has_value() && !cur->done(),
-                    "decompress: missing loop activation at gid " << child->gid);
-          const int64_t iters = cur->next();
-          for (int64_t k = 0; k < iters; ++k) replay(child);
-          break;
-        }
-        case cst::NodeKind::Branch: {
-          auto& cur = takenCur_[static_cast<size_t>(child->gid)];
-          while (cur.has_value() && !cur->done() &&
-                 cur->peek() == static_cast<int64_t>(g)) {
-            cur->next();
-            replay(child);
-          }
-          break;
-        }
-        case cst::NodeKind::Call:
-          replay(child);
-          break;
-        case cst::NodeKind::Root:
-          CYP_FAIL("nested root in CST");
-      }
+      case cst::NodeKind::Loop:
+        for (uint64_t k = rd.loopCount(child->gid); k > 0; --k)
+          walk(rd, child, out);
+        break;
+      case cst::NodeKind::Branch:
+        while (rd.takeBranch(child->gid, g)) walk(rd, child, out);
+        break;
+      case cst::NodeKind::Call:
+        walk(rd, child, out);
+        break;
+      case cst::NodeKind::Root:
+        CYP_FAIL("nested root in CST");
     }
   }
-
-  uint64_t& exec(const cst::Node* n) {
-    if (exec_.size() < static_cast<size_t>(m_.cst().numNodes()))
-      exec_.resize(static_cast<size_t>(m_.cst().numNodes()), 0);
-    return exec_[static_cast<size_t>(n->gid)];
-  }
-
-  void checkDrained() const {
-    const int n = m_.cst().numNodes();
-    for (int g = 0; g < n; ++g) {
-      const auto& lc = loopCur_[static_cast<size_t>(g)];
-      CYP_CHECK(!lc.has_value() || lc->done(),
-                "decompress: loop activations left over at gid " << g);
-      const auto& tc = takenCur_[static_cast<size_t>(g)];
-      CYP_CHECK(!tc.has_value() || tc->done(),
-                "decompress: branch outcomes left over at gid " << g);
-      const LeafCursor& c = leaf_[static_cast<size_t>(g)];
-      CYP_CHECK(!c.execCursor.has_value() || c.execCursor->done(),
-                "decompress: leaf occurrences left over at gid " << g);
-      for (const RecState& rs : c.recs) {
-        CYP_CHECK(rs.ord.done(), "decompress: records left over at gid " << g);
-        CYP_CHECK(!rs.matched.has_value() || rs.matched->done(),
-                  "decompress: matched sources left over at gid " << g);
-      }
-    }
-  }
-
-  const MergedCtt& m_;
-  int rank_;
-  std::vector<std::optional<SectionSeq::Cursor>> loopCur_;
-  std::vector<std::optional<SectionSeq::Cursor>> takenCur_;
-  std::vector<LeafCursor> leaf_;
-  std::vector<uint64_t> exec_;
-  std::vector<trace::Event> out_;
-};
+}
 
 }  // namespace
 
 std::vector<trace::Event> decompressRank(const MergedCtt& m, int rank) {
-  return Replayer(m, rank).run();
+  RankReader rd(m, rank);
+  std::vector<trace::Event> out;
+  walk(rd, m.cst().root(), out);
+  rd.checkDrained();
+  return out;
 }
 
 trace::RawTrace decompressAll(const MergedCtt& m, int numRanks) {

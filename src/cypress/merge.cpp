@@ -219,6 +219,9 @@ MergedCtt MergedCtt::deserialize(std::span<const uint8_t> data,
             "cypress trace: node count mismatch");
   for (uint64_t g = 0; g < n; ++g) {
     m.loops_[g] = readSeqEntries(r);
+    for (const SeqEntry& e : m.loops_[g])
+      CYP_CHECK(!e.seq.hasNegative(),
+                "cypress trace: negative loop count at gid " << g);
     m.taken_[g] = readSeqEntries(r);
     // A leaf entry is at least 3 bytes: record count, empty exec
     // ordinals, empty rank set.

@@ -65,6 +65,21 @@ class MergedCtt {
     return leaves_[static_cast<size_t>(gid)];
   }
 
+  /// The payload variant `rank` uses at vertex `gid`, or nullptr when
+  /// the rank has none there. Every per-rank reader (decompression, the
+  /// cursor, the query engine, replay) looks variants up through these.
+  const SectionSeq* loopSeqFor(int gid, int32_t rank) const {
+    const SeqEntry* e = variantFor(loops_[static_cast<size_t>(gid)], rank);
+    return e ? &e->seq : nullptr;
+  }
+  const SectionSeq* takenSeqFor(int gid, int32_t rank) const {
+    const SeqEntry* e = variantFor(taken_[static_cast<size_t>(gid)], rank);
+    return e ? &e->seq : nullptr;
+  }
+  const LeafEntry* leafFor(int gid, int32_t rank) const {
+    return variantFor(leaves_[static_cast<size_t>(gid)], rank);
+  }
+
   /// Serialized CYPRESS trace: compressed-text CST + payloads. This is
   /// the byte count reported as "Cypress" trace size; apply flate on top
   /// for "Cypress+Gzip". serializeTo streams into `w` (use a
@@ -83,6 +98,14 @@ class MergedCtt {
   size_t memoryBytes() const;
 
  private:
+  template <typename Entry>
+  static const Entry* variantFor(const std::vector<Entry>& entries,
+                                 int32_t rank) {
+    for (const Entry& e : entries)
+      if (e.ranks.contains(rank)) return &e;
+    return nullptr;
+  }
+
   template <typename Entry, typename SamePred, typename MergeFn>
   static void absorbEntries(std::vector<Entry>& mine, std::vector<Entry>&& theirs,
                             SamePred same, MergeFn mergeStats);

@@ -31,13 +31,12 @@ size_t avgMemory(const Recorders& recs) {
 /// serialized bytes leave the writer in shard-sized slices and are
 /// compressed as they are cut — the full serialized vector never
 /// exists. Byte-identical to flate::compress(ctt.serialize()).
-flate::StreamingCompressor::Totals compressCttTo(const core::Ctt& ctt,
-                                                 ByteSink& sink, int threads) {
+void compressCttTo(const core::Ctt& ctt, ByteSink& sink, int threads) {
   flate::StreamingCompressor sc(sink, flate::Level::Default, threads);
   ByteWriter w(sc);
   ctt.serializeTo(w);
   w.flush();
-  return sc.finish();
+  sc.finish();
 }
 
 }  // namespace
@@ -183,25 +182,6 @@ RunOutput runSource(const std::string& name, const std::string& source,
     out.journal->seal(out.lostRanks());
   }
 
-  // Per-rank fan-out (the paper's deployment model: every process
-  // writes its own compressed trace at finalize). Each rank's
-  // serialization + compression is an independent pool task — ranks
-  // share no state — and results land in rank-indexed slots, so the
-  // files are byte-identical for any thread count.
-  if (opts.emitRankTraces && opts.withCypress) {
-    out.rankTraceFiles.resize(out.cypress.size());
-    parallelFor(out.cypress.size(), opts.threads, [&](size_t r) {
-      if (!out.cypress[r]->finalized()) return;  // lost rank: empty entry
-      // Streaming serialize→compress (single lane per rank; the fan-out
-      // across ranks is the parallelism): shards leave the serializer
-      // as they are cut, so peak memory per rank is one shard plus the
-      // compressed output instead of both full streams.
-      VectorSink sink;
-      compressCttTo(out.cypress[r]->ctt(), sink, /*threads=*/1);
-      out.rankTraceFiles[r] = sink.take();
-    });
-  }
-
   if (opts.verifyRoundtrip) {
     const verify::Report rep = verifyRun(out, opts.threads);
     CYP_CHECK(rep.ok(),
@@ -337,20 +317,16 @@ constexpr uint64_t kRankDirVersion = 1;
 RankSet writeRankTraces(const RunOutput& run, const std::string& dir,
                         io::IoBackend* io, int threads) {
   io::IoBackend& be = io ? *io : io::realIo();
-  // Prefer streaming straight from the recorders: each rank's CYPP is
-  // serialized into the shard compressor and drained through an
-  // AtomicFileWriter, so shards leave RAM as they are cut and no rank
-  // ever exists as serialized-plus-compressed buffers. The
-  // pre-compressed rankTraceFiles path remains for callers that only
-  // kept the buffers (the bytes are identical either way). Ranks are
-  // written in order — deterministic I/O ordinals for fault plans —
-  // while `threads` parallelizes shard compression within a rank.
-  const bool fromRecorders = !run.cypress.empty();
-  CYP_CHECK(fromRecorders || !run.rankTraceFiles.empty(),
+  // Each rank's CYPP is serialized into the shard compressor and
+  // drained through an AtomicFileWriter, so shards leave RAM as they
+  // are cut and no rank ever exists as serialized-plus-compressed
+  // buffers. Ranks are written in order — deterministic I/O ordinals
+  // for fault plans — while `threads` parallelizes shard compression
+  // within a rank.
+  CYP_CHECK(!run.cypress.empty(),
             "writeRankTraces: the run has no per-rank traces (run with "
-            "Options::withCypress or Options::emitRankTraces)");
-  const size_t numRanks =
-      fromRecorders ? run.cypress.size() : run.rankTraceFiles.size();
+            "Options::withCypress)");
+  const size_t numRanks = run.cypress.size();
   be.createDirectories(dir);
 
   ByteWriter meta;
@@ -363,22 +339,13 @@ RankSet writeRankTraces(const RunOutput& run, const std::string& dir,
 
   RankSet lost;
   for (size_t r = 0; r < numRanks; ++r) {
-    const std::string path = dir + "/" + rankFileName(static_cast<int>(r));
-    if (fromRecorders) {
-      if (!run.cypress[r]->finalized()) {  // lost rank: no file
-        lost.insert(static_cast<int>(r));
-        continue;
-      }
-      io::AtomicFileWriter out(be, path);
-      compressCttTo(run.cypress[r]->ctt(), out, threads);
-      out.commit();
-    } else {
-      if (run.rankTraceFiles[r].empty()) {
-        lost.insert(static_cast<int>(r));
-        continue;
-      }
-      io::writeFileAtomic(be, path, run.rankTraceFiles[r]);
+    if (!run.cypress[r]->finalized()) {  // lost rank: no file
+      lost.insert(static_cast<int>(r));
+      continue;
     }
+    io::AtomicFileWriter out(be, dir + "/" + rankFileName(static_cast<int>(r)));
+    compressCttTo(run.cypress[r]->ctt(), out, threads);
+    out.commit();
   }
   return lost;
 }

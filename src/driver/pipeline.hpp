@@ -59,12 +59,6 @@ struct Options {
   /// deterministic commit order, so every produced trace is
   /// byte-identical for any value of `threads`.
   int threads = 1;
-  /// Also produce per-rank compressed CYPP trace files (the paper's
-  /// deployment model: each process writes flate(ctt) at MPI_Finalize).
-  /// Built as independent pool tasks, collected in rank order, in
-  /// RunOutput::rankTraceFiles. Ranks that did not finalize get an
-  /// empty entry.
-  bool emitRankTraces = false;
   /// Baseline recorders, kept for comparing CYPRESS against: the raw
   /// event trace (and its gzip, sizeof(trace::Event) per event held in
   /// RAM) and ScalaTrace V1/V2. Only the callers that read a baseline
@@ -133,11 +127,6 @@ struct RunOutput {
   /// Sealed CYJ1 journal of the run (only when Options::withJournal).
   std::unique_ptr<trace::JournalBuilder> journal;
   std::vector<std::unique_ptr<trace::JournalRecorder>> journalRecorders;
-
-  /// Per-rank compressed CYPP trace files (only when
-  /// Options::emitRankTraces); index is the rank, entries for
-  /// unfinalized (killed/stalled) ranks are empty.
-  std::vector<std::vector<uint8_t>> rankTraceFiles;
 
   /// Events the run emitted, read off the CYPRESS recorders (requires
   /// Options::withCypress): every event appends exactly one value to
@@ -216,14 +205,13 @@ verify::Report verifyRun(const RunOutput& run, int threads = 1);
 ///
 /// Every file is written atomically (tmp + fsync + rename) through
 /// `io` (null = real backend), so a crash mid-emit never leaves a
-/// torn file under a final name. When the run holds CYPRESS recorders
-/// (Options::withCypress) each rank streams serialize→compress→write
-/// directly from its recorder — shards leave RAM as they are cut, no
-/// per-rank buffer needed; otherwise the pre-built rankTraceFiles
-/// (Options::emitRankTraces) are written as-is. Ranks are emitted in
-/// order (deterministic I/O ordinals for --io-fault plans); `threads`
-/// fans out shard compression within a rank. Returns the ranks with
-/// no file (the run's lost ranks) so callers can report coverage.
+/// torn file under a final name. The run must hold CYPRESS recorders
+/// (Options::withCypress): each rank streams serialize→compress→write
+/// directly from its recorder, so shards leave RAM as they are cut and
+/// no per-rank buffer exists. Ranks are emitted in order
+/// (deterministic I/O ordinals for --io-fault plans); `threads` fans
+/// out shard compression within a rank. Returns the ranks with no file
+/// (the run's lost ranks) so callers can report coverage.
 RankSet writeRankTraces(const RunOutput& run, const std::string& dir,
                         io::IoBackend* io = nullptr, int threads = 1);
 

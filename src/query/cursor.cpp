@@ -4,95 +4,16 @@
 
 namespace cypress::query {
 
-using core::CommRecord;
-using core::LeafEntry;
-using core::MergedCtt;
-using core::SeqEntry;
-
-namespace {
-
-const SectionSeq* seqFor(const std::vector<SeqEntry>& entries, int rank) {
-  for (const SeqEntry& e : entries)
-    if (e.ranks.contains(rank)) return &e.seq;
-  return nullptr;
-}
-
-}  // namespace
-
-CompressedCursor::CompressedCursor(const MergedCtt& m, int rank)
-    : m_(&m), rank_(rank) {
-  const int n = m.cst().numNodes();
-  loopCur_.resize(static_cast<size_t>(n));
-  takenCur_.resize(static_cast<size_t>(n));
-  leaf_.resize(static_cast<size_t>(n));
-  execCount_.assign(static_cast<size_t>(n), 0);
-  for (int g = 0; g < n; ++g) {
-    if (const SectionSeq* s = seqFor(m.loopEntries(g), rank))
-      loopCur_[static_cast<size_t>(g)].emplace(*s);
-    if (const SectionSeq* s = seqFor(m.takenEntries(g), rank))
-      takenCur_[static_cast<size_t>(g)].emplace(*s);
-    for (const LeafEntry& e : m.leafEntries(g)) {
-      if (e.ranks.contains(rank)) {
-        LeafCursor& c = leaf_[static_cast<size_t>(g)];
-        c.entry = &e;
-        c.execCursor.emplace(e.execOrdinals);
-        for (const CommRecord& rec : e.records) {
-          c.recs.push_back(RecState{
-              rec.ordinals.cursor(),
-              rec.matchedSources.empty()
-                  ? std::optional<SectionSeq::Cursor>()
-                  : std::optional<SectionSeq::Cursor>(
-                        rec.matchedSources.cursor()),
-              &rec});
-        }
-        break;
-      }
-    }
-  }
+CompressedCursor::CompressedCursor(const core::MergedCtt& m, int rank)
+    : reader_(m, rank) {
   push(m.cst().root());
 }
 
 void CompressedCursor::push(const cst::Node* n) {
   Frame f;
   f.node = n;
-  f.exec = execCount_[static_cast<size_t>(n->gid)]++;
+  f.exec = reader_.enter(n->gid);
   stack_.push_back(f);
-}
-
-void CompressedCursor::fillEvent(const cst::Node* leaf) {
-  LeafCursor& c = leaf_[static_cast<size_t>(leaf->gid)];
-  CYP_CHECK(c.entry != nullptr, "decompress: rank "
-                                    << rank_ << " has no records at gid "
-                                    << leaf->gid);
-  const int64_t n = static_cast<int64_t>(c.nextOrdinal++);
-  RecState* state = nullptr;
-  for (RecState& rs : c.recs) {
-    if (!rs.ord.done() && rs.ord.peek() == n) {
-      state = &rs;
-      break;
-    }
-  }
-  CYP_CHECK(state != nullptr, "decompress: no record covers occurrence "
-                                  << n << " at gid " << leaf->gid);
-  state->ord.next();
-  const CommRecord& rec = *state->rec;
-
-  trace::Event e;
-  e.op = rec.op;
-  e.peer = rec.peer.decode(rank_);
-  e.bytes = rec.bytes;
-  e.tag = rec.tag;
-  e.comm = rec.comm;
-  e.callSiteId = rec.callSiteId;
-  e.reqId = rec.reqSite;
-  if (state->matched.has_value()) {
-    e.matchedSource = static_cast<int32_t>(state->matched->next()) + rank_;
-  }
-  e.durationNs = static_cast<uint64_t>(rec.duration.mean());
-  e.computeNs = static_cast<uint64_t>(rec.compute.mean());
-  buf_ = e;
-  hasEvent_ = true;
-  ++emitted_;
 }
 
 void CompressedCursor::advance() {
@@ -105,27 +26,18 @@ void CompressedCursor::advance() {
     }
     const cst::Node* child = n->children[f.child].get();
     switch (child->kind) {
-      case cst::NodeKind::Comm: {
-        LeafCursor& lc = leaf_[static_cast<size_t>(child->gid)];
-        if (lc.execCursor.has_value() && !lc.execCursor->done() &&
-            lc.execCursor->peek() == static_cast<int64_t>(f.exec)) {
-          lc.execCursor->next();
-          fillEvent(child);
+      case cst::NodeKind::Comm:
+        if (reader_.takeLeaf(child->gid, f.exec)) {
+          reader_.fillEvent(child->gid, buf_);
+          hasEvent_ = true;
+          ++emitted_;
           return;  // pause: one event buffered
         }
         ++f.child;
         break;
-      }
-      case cst::NodeKind::Loop: {
+      case cst::NodeKind::Loop:
         if (!f.pendingValid) {
-          auto& cur = loopCur_[static_cast<size_t>(child->gid)];
-          CYP_CHECK(cur.has_value() && !cur->done(),
-                    "decompress: missing loop activation at gid "
-                        << child->gid);
-          const int64_t iters = cur->next();
-          CYP_CHECK(iters >= 0, "decompress: negative iteration count at gid "
-                                    << child->gid);
-          f.pending = static_cast<uint64_t>(iters);
+          f.pending = reader_.loopCount(child->gid);
           f.pendingValid = true;
         }
         if (f.pending > 0) {
@@ -136,37 +48,21 @@ void CompressedCursor::advance() {
           ++f.child;
         }
         break;
-      }
-      case cst::NodeKind::Branch: {
-        auto& cur = takenCur_[static_cast<size_t>(child->gid)];
-        if (cur.has_value() && !cur->done() &&
-            cur->peek() == static_cast<int64_t>(f.exec)) {
-          cur->next();
+      case cst::NodeKind::Branch:
+        if (reader_.takeBranch(child->gid, f.exec))
           push(child);
-        } else {
+        else
           ++f.child;
-        }
         break;
-      }
-      case cst::NodeKind::Call: {
-        if (!f.pendingValid) {
-          f.pending = 1;
-          f.pendingValid = true;
-        }
-        if (f.pending > 0) {
-          --f.pending;
-          push(child);
-        } else {
-          f.pendingValid = false;
-          ++f.child;
-        }
+      case cst::NodeKind::Call:
+        ++f.child;  // visited exactly once: step past it before pushing
+        push(child);
         break;
-      }
       case cst::NodeKind::Root:
         CYP_FAIL("nested root in CST");
     }
   }
-  checkDrained();
+  reader_.checkDrained();
   finished_ = true;
 }
 
@@ -185,36 +81,9 @@ void CompressedCursor::next() {
   hasEvent_ = false;
 }
 
-void CompressedCursor::checkDrained() const {
-  const int n = m_->cst().numNodes();
-  for (int g = 0; g < n; ++g) {
-    const auto& lc = loopCur_[static_cast<size_t>(g)];
-    CYP_CHECK(!lc.has_value() || lc->done(),
-              "decompress: loop activations left over at gid " << g);
-    const auto& tc = takenCur_[static_cast<size_t>(g)];
-    CYP_CHECK(!tc.has_value() || tc->done(),
-              "decompress: branch outcomes left over at gid " << g);
-    const LeafCursor& c = leaf_[static_cast<size_t>(g)];
-    CYP_CHECK(!c.execCursor.has_value() || c.execCursor->done(),
-              "decompress: leaf occurrences left over at gid " << g);
-    for (const RecState& rs : c.recs) {
-      CYP_CHECK(rs.ord.done(), "decompress: records left over at gid " << g);
-      CYP_CHECK(!rs.matched.has_value() || rs.matched->done(),
-                "decompress: matched sources left over at gid " << g);
-    }
-  }
-}
-
 size_t CompressedCursor::memoryBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += loopCur_.capacity() * sizeof(loopCur_[0]);
-  bytes += takenCur_.capacity() * sizeof(takenCur_[0]);
-  bytes += execCount_.capacity() * sizeof(uint64_t);
-  bytes += stack_.capacity() * sizeof(Frame);
-  bytes += leaf_.capacity() * sizeof(LeafCursor);
-  for (const LeafCursor& c : leaf_)
-    bytes += c.recs.capacity() * sizeof(RecState);
-  return bytes;
+  return sizeof(*this) + reader_.memoryBytes() +
+         stack_.capacity() * sizeof(Frame);
 }
 
 }  // namespace cypress::query

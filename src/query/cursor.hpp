@@ -2,22 +2,23 @@
 //
 // The decompressor in src/cypress materializes a full per-rank event
 // vector; consumers like SIM-MPI replay only ever look at each rank's
-// *current* event. This cursor runs the same pre-order CTT walk (loop
-// counts, branch outcomes, leaf occurrence ordinals) as an explicit
-// machine that pauses after every emitted event, so replay and
-// event-at-a-time analyses read the compressed form directly with
-// O(#CST vertices + #records + tree depth) state — never O(events).
+// *current* event. This cursor runs the same pre-order CTT walk as an
+// explicit-stack machine that pauses after every emitted event, so
+// replay and event-at-a-time analyses read the compressed form directly
+// with O(#CST vertices + #records + tree depth) state — never O(events).
 //
-// The event sequence is exactly decompressRank()'s, including the
-// end-of-walk drain check: a cursor that reaches done() guarantees all
-// payload cursors were consumed, and throws cypress::Error on the same
-// inconsistencies the batch decompressor rejects.
+// Both walks read the payload through one core::RankReader, which owns
+// the rank's loop, branch and leaf cursors, the event fill and the
+// end-of-walk drain check. The event sequence is therefore exactly
+// decompressRank()'s, and a cursor that reaches done() has passed the
+// same drain check. Only the walk itself is kept twice: the recursive
+// one is measurably faster for full expansion (DESIGN.md §4, item 8).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
+#include "cypress/decompress.hpp"
 #include "cypress/merge.hpp"
 #include "trace/event.hpp"
 
@@ -45,45 +46,27 @@ class CompressedCursor {
   /// Events emitted so far (consumed + the buffered one, if any).
   uint64_t emitted() const { return emitted_; }
 
-  int rank() const { return rank_; }
+  int rank() const { return reader_.rank(); }
 
   /// Heap footprint of the cursor state (the replay-side memory story:
   /// compare against events * sizeof(Event) for the materialized path).
   size_t memoryBytes() const;
 
  private:
-  struct RecState {
-    SectionSeq::Cursor ord;
-    std::optional<SectionSeq::Cursor> matched;
-    const core::CommRecord* rec = nullptr;
-  };
-  struct LeafCursor {
-    const core::LeafEntry* entry = nullptr;
-    uint64_t nextOrdinal = 0;
-    std::optional<SectionSeq::Cursor> execCursor;
-    std::vector<RecState> recs;
-  };
   /// One execution of one CST vertex, paused between children (and
   /// between occurrences at a Comm child).
   struct Frame {
     const cst::Node* node = nullptr;
     uint64_t exec = 0;    // this execution's ordinal of `node`
     size_t child = 0;     // index of the child being processed
-    uint64_t pending = 0; // loop iterations / call visits still to push
+    uint64_t pending = 0; // loop iterations still to push
     bool pendingValid = false;
   };
 
   void push(const cst::Node* n);
-  void fillEvent(const cst::Node* leaf);
   void advance();  // run the machine until an event is buffered or done
-  void checkDrained() const;
 
-  const core::MergedCtt* m_;
-  int rank_;
-  std::vector<std::optional<SectionSeq::Cursor>> loopCur_;
-  std::vector<std::optional<SectionSeq::Cursor>> takenCur_;
-  std::vector<LeafCursor> leaf_;
-  std::vector<uint64_t> execCount_;
+  core::RankReader reader_;
   std::vector<Frame> stack_;
   trace::Event buf_;
   bool hasEvent_ = false;

@@ -29,24 +29,12 @@ bool isCollectiveClass(ir::MpiOp op) {
   return ir::isCollective(op) || op == ir::MpiOp::CommSplit;
 }
 
-const SectionSeq* seqFor(const std::vector<SeqEntry>& entries, int32_t rank) {
-  for (const SeqEntry& e : entries)
-    if (e.ranks.contains(rank)) return &e.seq;
-  return nullptr;
-}
-
-const LeafEntry* leafFor(const std::vector<LeafEntry>& entries, int32_t rank) {
-  for (const LeafEntry& e : entries)
-    if (e.ranks.contains(rank)) return &e;
-  return nullptr;
-}
-
 /// Visit every CommRecord covering `rank`, in gid order.
 template <typename Fn>
 void forEachRecord(const MergedCtt& m, int32_t rank, Fn fn) {
   const int n = m.cst().numNodes();
   for (int g = 0; g < n; ++g) {
-    const LeafEntry* le = leafFor(m.leafEntries(g), rank);
+    const LeafEntry* le = m.leafFor(g, rank);
     if (le == nullptr) continue;
     for (const CommRecord& rec : le->records) fn(rec);
   }
@@ -299,7 +287,7 @@ void walkCallSites(const MergedCtt& m, const cst::Node* n, uint64_t e0,
     const cst::Node* child = childPtr.get();
     switch (child->kind) {
       case cst::NodeKind::Comm: {
-        const LeafEntry* le = leafFor(m.leafEntries(child->gid), src);
+        const LeafEntry* le = m.leafFor(child->gid, src);
         if (le == nullptr) break;
         // Occurrences whose parent-execution ordinal falls inside the
         // interval form a contiguous occurrence-index range.
@@ -318,7 +306,7 @@ void walkCallSites(const MergedCtt& m, const cst::Node* n, uint64_t e0,
         break;
       }
       case cst::NodeKind::Loop: {
-        const SectionSeq* counts = seqFor(m.loopEntries(child->gid), src);
+        const SectionSeq* counts = m.loopSeqFor(child->gid, src);
         if (counts == nullptr) break;
         // One activation per parent execution: the parent interval *is*
         // the activation-index interval; prefix sums over per-activation
@@ -331,7 +319,7 @@ void walkCallSites(const MergedCtt& m, const cst::Node* n, uint64_t e0,
         break;
       }
       case cst::NodeKind::Branch: {
-        const SectionSeq* taken = seqFor(m.takenEntries(child->gid), src);
+        const SectionSeq* taken = m.takenSeqFor(child->gid, src);
         if (taken == nullptr) break;
         // Branch outcomes are a non-decreasing list of parent-execution
         // ordinals; arm executions inside the interval are the indices
@@ -363,7 +351,7 @@ std::vector<CallSiteHit> callSitesAt(const MergedCtt& m, int32_t src,
   const cst::Node* loop = m.cst().byGid(loopGid);
   CYP_CHECK(loop != nullptr && loop->kind == cst::NodeKind::Loop,
             "query: gid " << loopGid << " is not a loop vertex");
-  const SectionSeq* counts = seqFor(m.loopEntries(loopGid), src);
+  const SectionSeq* counts = m.loopSeqFor(loopGid, src);
   const uint64_t total =
       counts ? static_cast<uint64_t>(counts->sum()) : 0;
   CYP_CHECK(iter < total, "query: iteration " << iter << " out of range (rank "

@@ -506,18 +506,16 @@ Prediction simulateRecordedTimes(const core::MergedCtt& m) {
   for (int r = 0; r < numRanks; ++r) {
     uint64_t clock = 0, comm = 0;
     for (int g = 0; g < n; ++g) {
-      for (const core::LeafEntry& e : m.leafEntries(g)) {
-        if (!e.ranks.contains(r)) continue;
-        for (const core::CommRecord& rec : e.records) {
-          // Decompressed events carry the record's rounded means, so
-          // count * rounded-mean reproduces the expanded sums exactly.
-          const auto dur = static_cast<uint64_t>(rec.duration.mean());
-          const auto cmp = static_cast<uint64_t>(rec.compute.mean());
-          clock += rec.count * (cmp + dur);
-          comm += rec.count * dur;
-          p.totalEvents += rec.count;
-        }
-        break;
+      const core::LeafEntry* e = m.leafFor(g, r);
+      if (e == nullptr) continue;
+      for (const core::CommRecord& rec : e->records) {
+        // Decompressed events carry the record's rounded means, so
+        // count * rounded-mean reproduces the expanded sums exactly.
+        const auto dur = static_cast<uint64_t>(rec.duration.mean());
+        const auto cmp = static_cast<uint64_t>(rec.compute.mean());
+        clock += rec.count * (cmp + dur);
+        comm += rec.count * dur;
+        p.totalEvents += rec.count;
       }
     }
     p.rankClockNs[static_cast<size_t>(r)] = clock;

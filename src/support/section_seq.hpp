@@ -109,6 +109,20 @@ class SectionSeq {
     return true;
   }
 
+  /// True when some value is negative. Decided per section from start,
+  /// stride and count, never by forming the last value, so a corrupt
+  /// section cannot overflow the check.
+  bool hasNegative() const {
+    for (const Section& s : segs_) {
+      if (s.start < 0) return true;
+      if (s.stride < 0 &&
+          s.count - 1 > static_cast<uint64_t>(s.start) /
+                            (0 - static_cast<uint64_t>(s.stride)))
+        return true;
+    }
+    return false;
+  }
+
   /// Logical value at index i (O(#sections) scan; use Cursor for walks).
   int64_t at(uint64_t i) const {
     CYP_CHECK(i < total_, "SectionSeq index " << i << " out of " << total_);

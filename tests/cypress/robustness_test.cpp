@@ -6,6 +6,7 @@
 
 #include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
+#include "query/cursor.hpp"
 #include "support/rng.hpp"
 
 namespace cypress::core {
@@ -131,6 +132,41 @@ TEST(Robustness, DecompressUnknownRankFailsLoudly) {
   MergedCtt m = MergedCtt::deserializeWithTree(bytes, tree);
   // Rank 17 never ran: decompression must not fabricate events.
   EXPECT_THROW(decompressRank(m, 17), Error);
+}
+
+TEST(Robustness, NegativeLoopCountIsRejectedEverywhere) {
+  // Rank 0 of a one-rank run records a zero-trip loop. A count of -1 in
+  // its place must be refused by both walks and both deserializers, not
+  // read as "zero iterations" by one of them.
+  driver::Options opts;
+  opts.procs = 1;
+  opts.withScala = false;
+  opts.withScala2 = false;
+  const driver::RunOutput run = driver::runSource("negloop", R"(
+    func main() {
+      for (var i = 0; i < rank; i = i + 1) {
+        mpi_barrier();
+      }
+      mpi_barrier();
+    })", opts);
+  Ctt ctt = run.cypress[0]->ctt();
+  int loopGid = -1;
+  for (int g = 0; g < run.cst->numNodes(); ++g)
+    if (run.cst->byGid(g)->kind == cst::NodeKind::Loop) loopGid = g;
+  ASSERT_GE(loopGid, 0);
+  ASSERT_EQ(ctt.loopCounts(loopGid), SectionSeq::compress({0}));
+  ctt.loopCountsMut(loopGid) = SectionSeq::compress({-1});
+  const MergedCtt m = MergedCtt::fromCtt(ctt, 0);
+
+  EXPECT_THROW(decompressRank(m, 0), Error);
+  EXPECT_THROW(
+      {
+        query::CompressedCursor cur(m, 0);
+        while (!cur.done()) cur.next();
+      },
+      Error);
+  EXPECT_THROW(MergedCtt::deserialize(m.serialize(), *run.cst), Error);
+  EXPECT_THROW(Ctt::deserialize(ctt.serialize(), *run.cst), Error);
 }
 
 }  // namespace

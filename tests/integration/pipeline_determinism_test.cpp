@@ -5,20 +5,41 @@
 // scheduler or the post-run stages fan out on.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "driver/pipeline.hpp"
 #include "flate/flate.hpp"
+#include "support/io.hpp"
 
 namespace cypress {
 namespace {
+
+namespace fs = std::filesystem;
+
+/// Every file of the rank-trace directory writeRankTraces emits for
+/// `run` at `threads`, by file name.
+std::map<std::string, std::vector<uint8_t>> rankTraceDir(
+    const driver::RunOutput& run, int threads) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("cyp-det-ranks." + std::to_string(getpid()));
+  fs::remove_all(dir);
+  driver::writeRankTraces(run, dir.string(), nullptr, threads);
+  std::map<std::string, std::vector<uint8_t>> files;
+  for (const auto& f : fs::directory_iterator(dir))
+    files[f.path().filename().string()] = io::realIo().readAll(f.path().string());
+  fs::remove_all(dir);
+  return files;
+}
 
 driver::RunOutput runCg(int threads) {
   driver::Options opts;
   opts.procs = 32;
   opts.threads = threads;
-  opts.emitRankTraces = true;
   opts.withScala = false;  // keep the fixture fast; scala is untouched here
   return driver::runWorkload("CG", opts);
 }
@@ -27,7 +48,6 @@ driver::Options runStageOptions(int threads) {
   driver::Options opts;
   opts.procs = 16;
   opts.threads = threads;
-  opts.emitRankTraces = true;
   opts.withJournal = true;
   opts.withScala = false;
   opts.withScala2 = false;
@@ -36,9 +56,9 @@ driver::Options runStageOptions(int threads) {
 
 /// Every run-stage artifact of `got` must equal `ref`'s, byte for byte.
 void expectSameRunArtifacts(const driver::RunOutput& ref,
-                            const driver::RunOutput& got) {
+                            const driver::RunOutput& got, int threads) {
   EXPECT_EQ(got.raw.serialize(), ref.raw.serialize());
-  EXPECT_EQ(got.rankTraceFiles, ref.rankTraceFiles);
+  EXPECT_EQ(rankTraceDir(got, threads), rankTraceDir(ref, 1));
   EXPECT_EQ(driver::mergeCypress(got).serialize(),
             driver::mergeCypress(ref).serialize());
   ASSERT_NE(ref.journal, nullptr);
@@ -62,7 +82,7 @@ TEST(PipelineDeterminism, RunStageByteIdenticalAcrossThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       const driver::RunOutput got =
           driver::runWorkload(name, runStageOptions(threads));
-      expectSameRunArtifacts(ref, got);
+      expectSameRunArtifacts(ref, got, threads);
     }
   }
 }
@@ -100,7 +120,7 @@ TEST(PipelineDeterminism, WildcardHeavyRunByteIdenticalAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const driver::RunOutput got =
         driver::runSource("wildcard", source, runStageOptions(threads));
-    expectSameRunArtifacts(ref, got);
+    expectSameRunArtifacts(ref, got, threads);
   }
 }
 
@@ -109,13 +129,14 @@ TEST(PipelineDeterminism, FullRunByteIdenticalAcrossThreadCounts) {
   const core::MergedCtt refMerged = driver::mergeCypress(ref, nullptr, 1);
   const auto refBytes = refMerged.serialize();
   ASSERT_FALSE(refBytes.empty());
-  ASSERT_EQ(ref.rankTraceFiles.size(), 32u);
-  for (const auto& f : ref.rankTraceFiles) EXPECT_FALSE(f.empty());
+  const auto refFiles = rankTraceDir(ref, 1);
+  ASSERT_EQ(refFiles.size(), 32u + 2u);  // ranks + meta.cyrd + cst.cyst
+  for (const auto& [name, bytes] : refFiles) EXPECT_FALSE(bytes.empty()) << name;
 
   const driver::RunOutput par = runCg(8);
   const core::MergedCtt parMerged = driver::mergeCypress(par, nullptr, 8);
   EXPECT_EQ(parMerged.serialize(), refBytes);
-  EXPECT_EQ(par.rankTraceFiles, ref.rankTraceFiles);
+  EXPECT_EQ(rankTraceDir(par, 8), refFiles);
 }
 
 TEST(PipelineDeterminism, SizeReportIndependentOfThreadCount) {

@@ -6,9 +6,13 @@
 // arithmetic and the cursor walk.
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "cypress/decompress.hpp"
 #include "cypress/merge.hpp"
 #include "driver/pipeline.hpp"
 #include "query/cursor.hpp"
+#include "query/engine.hpp"
 #include "query/query.hpp"
 #include "verify/fuzz.hpp"
 
@@ -24,6 +28,24 @@ std::vector<uint8_t> goodTraceBytes() {
   return driver::mergeCypress(run).serialize();
 }
 
+/// decompressRank and a drained CompressedCursor over one rank: true
+/// when both yield the same events or both throw cypress::Error.
+bool walksAgree(const core::MergedCtt& m, int rank) {
+  std::optional<std::vector<trace::Event>> batch, streamed;
+  try {
+    batch = core::decompressRank(m, rank);
+  } catch (const Error&) {
+  }
+  try {
+    std::vector<trace::Event> events;
+    CompressedCursor cur(m, rank);
+    for (; !cur.done(); cur.next()) events.push_back(cur.peek());
+    streamed = std::move(events);
+  } catch (const Error&) {
+  }
+  return batch == streamed;
+}
+
 TEST(QueryFuzz, MutatedTracesNeverEscapeTheErrorContract) {
   const auto good = goodTraceBytes();
   verify::FuzzOptions fo;
@@ -32,6 +54,11 @@ TEST(QueryFuzz, MutatedTracesNeverEscapeTheErrorContract) {
   const auto decode = [](std::span<const uint8_t> bytes) {
     cst::Tree tree;
     core::MergedCtt m = core::MergedCtt::deserializeWithTree(bytes, tree);
+    // Both walks read the payload through one RankReader, so on every
+    // covered rank they must agree, however the payload is corrupted.
+    const RankSet covered = coveredRanks(m);
+    for (int32_t r : covered.ranks())
+      EXPECT_TRUE(walksAgree(m, r)) << "rank " << r;
     // A mutant that still deserializes must still answer (or reject)
     // every query kind cleanly.
     runQuery(m, "summary");

@@ -166,6 +166,24 @@ TEST(SectionSeq, RangeArithmeticOnEmptyAndSingleton) {
   EXPECT_EQ(one.countInRange(42, 43), 1u);
 }
 
+TEST(SectionSeq, HasNegativeWithoutOverflow) {
+  auto seq = [](Section s) {
+    SectionSeq q;
+    q.appendSection(s);
+    return q;
+  };
+  EXPECT_FALSE(SectionSeq().hasNegative());
+  EXPECT_TRUE(SectionSeq::compress({3, 0, -1}).hasNegative());
+  EXPECT_FALSE(seq({10, -5, 3}).hasNegative());  // 10, 5, 0
+  EXPECT_TRUE(seq({10, -5, 4}).hasNegative());   // ..., -5
+  EXPECT_FALSE(seq({INT64_MAX, 1, 1}).hasNegative());
+  // The last value of these sections is not representable: the check
+  // must not form it.
+  EXPECT_TRUE(seq({5, INT64_MIN, 3}).hasNegative());
+  EXPECT_TRUE(seq({INT64_MAX, -2, (uint64_t{1} << 62) + 1}).hasNegative());
+  EXPECT_FALSE(seq({INT64_MAX, -1, uint64_t{1} << 62}).hasNegative());
+}
+
 TEST(SectionSeq, SerializedSizeIsCompactForRegularData) {
   SectionSeq q;
   for (int i = 0; i < 100000; ++i) q.append(42);

@@ -396,24 +396,25 @@ int cmdRecover(const Args& a) {
   return 0;
 }
 
+/// One past the highest rank with any payload (loop, branch or leaf):
+/// the rank count info, dump, stats and replay all report.
+int worldSize(const core::MergedCtt& m) {
+  const RankSet covered = query::coveredRanks(m);
+  return covered.empty() ? 0 : covered.ranks().back() + 1;
+}
+
 int cmdInfo(const Args& a) {
   const auto bytes = readBytes(a.target);
   cst::Tree tree;
   core::MergedCtt merged = core::MergedCtt::deserializeWithTree(bytes, tree);
   std::printf("%s: %s, CST with %d vertices\n", a.target.c_str(),
               humanBytes(bytes.size()).c_str(), tree.numNodes());
-  // Rank universe = union of all rank sets.
-  RankSet all;
   size_t entries = 0;
-  for (int g = 0; g < tree.numNodes(); ++g) {
-    for (const auto& e : merged.leafEntries(g)) {
-      all.unite(e.ranks);
-      ++entries;
-    }
-    entries += merged.loopEntries(g).size() + merged.takenEntries(g).size();
-  }
+  for (int g = 0; g < tree.numNodes(); ++g)
+    entries += merged.leafEntries(g).size() + merged.loopEntries(g).size() +
+               merged.takenEntries(g).size();
   std::printf("%zu merged payload entries covering %zu ranks\n", entries,
-              all.size());
+              query::coveredRanks(merged).size());
   std::printf("\n%s", tree.toString().c_str());
   return 0;
 }
@@ -422,12 +423,8 @@ int cmdDump(const Args& a) {
   const auto bytes = readBytes(a.target);
   cst::Tree tree;
   core::MergedCtt merged = core::MergedCtt::deserializeWithTree(bytes, tree);
-  RankSet all;
-  for (int g = 0; g < tree.numNodes(); ++g)
-    for (const auto& e : merged.leafEntries(g)) all.unite(e.ranks);
-  const int numRanks = all.empty() ? 0 : all.ranks().back() + 1;
   if (a.otf) {
-    trace::RawTrace t = core::decompressAll(merged, numRanks);
+    trace::RawTrace t = core::decompressAll(merged, worldSize(merged));
     std::fputs(trace::toOtfText(t).c_str(), stdout);
     return 0;
   }
@@ -444,8 +441,7 @@ int cmdReplay(const Args& a) {
   const auto bytes = readBytes(a.target);
   cst::Tree tree;
   core::MergedCtt merged = core::MergedCtt::deserializeWithTree(bytes, tree);
-  const RankSet covered = query::coveredRanks(merged);
-  const int numRanks = covered.empty() ? 0 : covered.ranks().back() + 1;
+  const int numRanks = worldSize(merged);
   const simmpi::LogGP net =
       a.net == "eth" ? simmpi::LogGP::ethernet() : simmpi::LogGP::infiniband();
   // SIM-MPI pulls events straight off CompressedCursors, one per rank;
@@ -473,10 +469,7 @@ int cmdStats(const Args& a) {
   const auto bytes = readBytes(a.target);
   cst::Tree tree;
   core::MergedCtt merged = core::MergedCtt::deserializeWithTree(bytes, tree);
-  RankSet all;
-  for (int g = 0; g < tree.numNodes(); ++g)
-    for (const auto& e : merged.leafEntries(g)) all.unite(e.ranks);
-  const int numRanks = all.empty() ? 0 : all.ranks().back() + 1;
+  const int numRanks = worldSize(merged);
   trace::RawTrace t = core::decompressAll(merged, numRanks);
   trace::TraceStats st = trace::computeStats(t);
   std::printf("%s (%d ranks, trace file %s)\n\n%s\n", a.target.c_str(), numRanks,
