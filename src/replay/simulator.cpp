@@ -4,6 +4,8 @@
 #include <deque>
 #include <map>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "cypress/merge.hpp"
 #include "query/cursor.hpp"
@@ -61,37 +63,135 @@ class CompressedSource final : public EventSource {
   std::vector<query::CompressedCursor> cursors_;
 };
 
-/// FIFO channel key for p2p matching.
-struct ChanKey {
-  int32_t src, dst, tag, comm;
-  auto operator<=>(const ChanKey&) const = default;
+/// Availability times of the messages queued on one channel, oldest
+/// first: a vector plus a head index. std::deque would allocate a
+/// 512-byte chunk for the first message, and most channels hold one or
+/// two. The storage resets when the FIFO drains and is compacted once
+/// half of it is consumed, so it stays within twice the live messages.
+class Fifo {
+ public:
+  size_t size() const { return avail_.size() - head_; }
+  uint64_t operator[](size_t i) const { return avail_[head_ + i]; }
+  void push(uint64_t t) {
+    if (head_ > 0 && 2 * head_ >= avail_.size()) {
+      avail_.erase(avail_.begin(), avail_.begin() + static_cast<ssize_t>(head_));
+      head_ = 0;
+    }
+    avail_.push_back(t);
+  }
+  uint64_t pop() {
+    const uint64_t t = avail_[head_++];
+    if (head_ == avail_.size()) {
+      avail_.clear();
+      head_ = 0;
+    }
+    return t;
+  }
+
+ private:
+  std::vector<uint64_t> avail_;
+  size_t head_ = 0;
+};
+
+/// The p2p channels into one destination rank, kept sorted by
+/// (src, tag, comm): a lookup is a binary search at any peer count, and
+/// a wildcard scan meets the sources in ascending order.
+class Inbox {
+ public:
+  Fifo* find(int32_t src, int32_t tag, int32_t comm) {
+    auto it = lowerBound(src, tag, comm);
+    return it != chans_.end() && it->is(src, tag, comm) ? &it->fifo : nullptr;
+  }
+
+  Fifo& get(int32_t src, int32_t tag, int32_t comm) {
+    auto it = lowerBound(src, tag, comm);
+    if (it == chans_.end() || !it->is(src, tag, comm))
+      it = chans_.insert(it, Channel{src, tag, comm, {}});
+    return it->fifo;
+  }
+
+  /// Lowest source with a message on (tag, comm) beyond the first
+  /// `claimed(fifo)` of its FIFO; -1 when there is none.
+  template <class Claimed>
+  int32_t lowestSource(int32_t tag, int32_t comm, Claimed claimed) {
+    for (Channel& c : chans_)
+      if (c.tag == tag && c.comm == comm && c.fifo.size() > claimed(&c.fifo))
+        return c.src;
+    return -1;
+  }
+
+ private:
+  struct Channel {
+    int32_t src, tag, comm;
+    Fifo fifo;
+    bool is(int32_t s, int32_t t, int32_t c) const {
+      return src == s && tag == t && comm == c;
+    }
+  };
+
+  std::vector<Channel>::iterator lowerBound(int32_t src, int32_t tag, int32_t comm) {
+    return std::lower_bound(chans_.begin(), chans_.end(), std::tie(src, tag, comm),
+                            [](const Channel& c, const auto& key) {
+                              return std::tie(c.src, c.tag, c.comm) < key;
+                            });
+  }
+
+  std::vector<Channel> chans_;
 };
 
 struct OutstandingReq {
   bool isSend = false;
-  ChanKey key{};
+  int32_t src = 0;  // receives only; may be kAnySource
+  int32_t tag = 0, comm = 0;
   int64_t bytes = 0;
   int32_t postSite = -1;
   uint64_t postClock = 0;
-  int32_t matchedSource = -1;  // wildcard irecv: filled from the wait event
+};
+
+/// One instance of a collective on one communicator. Members are
+/// indexed by their position in the communicator's sorted member list.
+struct Collective {
+  ir::MpiOp op = ir::MpiOp::Barrier;
+  int64_t bytes = 0;
+  int arrived = 0;
+  int left = 0;
+  bool done = false;
+  uint64_t finish = 0;
+  std::vector<uint64_t> arrivals;    // per member
+  std::vector<int32_t> splitResult;  // per member: new comm handle
+};
+
+/// The collectives of one communicator that some member has not left
+/// yet: slots[i] is instance base + i. Members leave instances in
+/// order, so retiring from the front once every member has left frees
+/// every finished instance.
+struct CommCollectives {
+  int base = 0;
+  std::deque<Collective> slots;
+};
+
+/// Everything the simulator keeps for one rank.
+struct RankState {
+  const Event* cur = nullptr;  // current event; nullptr when exhausted
+  uint64_t clock = 0, comm = 0;
+  size_t consumed = 0;          // events completed so far
+  bool computeCharged = false;  // cur's computeNs is on the clock
+  CommCollectives* pendingComm = nullptr;  // collective cur waits in
+  int pendingSeq = 0;
+  std::vector<OutstandingReq> outstanding;
+  std::vector<std::pair<int, int>> collSeq;  // (comm, next instance)
+  Inbox inbox;                               // channels into this rank
 };
 
 class Sim {
  public:
-  Sim(EventSource& src, const simmpi::LogGP& net) : src_(src), net_(net) {
-    const size_t n = src.numRanks();
-    clock_.assign(n, 0);
-    comm_.assign(n, 0);
-    consumed_.assign(n, 0);
-    outstanding_.resize(n);
-    collSeq_.resize(n);
-    computeChargedIdx_.assign(n, -1);
-    pendingColl_.assign(n, -1);
-    pendingCollComm_.assign(n, 0);
+  Sim(EventSource& src, const simmpi::LogGP& net)
+      : src_(src), net_(net), ranks_(src.numRanks()) {
+    for (size_t r = 0; r < ranks_.size(); ++r) ranks_[r].cur = src_.current(r);
   }
 
   Prediction run() {
-    const int n = static_cast<int>(src_.numRanks());
+    const int n = static_cast<int>(ranks_.size());
     int finished = 0;
     std::vector<bool> done(static_cast<size_t>(n), false);
     while (finished < n) {
@@ -99,7 +199,7 @@ class Sim {
       for (int r = 0; r < n; ++r) {
         if (done[static_cast<size_t>(r)]) continue;
         while (step(r)) progress = true;
-        if (src_.current(static_cast<size_t>(r)) == nullptr) {
+        if (ranks_[static_cast<size_t>(r)].cur == nullptr) {
           done[static_cast<size_t>(r)] = true;
           ++finished;
           progress = true;
@@ -109,10 +209,10 @@ class Sim {
         std::ostringstream os;
         os << "replay deadlock:";
         for (int r = 0; r < n; ++r) {
+          const RankState& s = ranks_[static_cast<size_t>(r)];
           if (!done[static_cast<size_t>(r)]) {
-            os << " rank " << r << " at event "
-               << consumed_[static_cast<size_t>(r)] << " ("
-               << src_.current(static_cast<size_t>(r))->toString() << ")";
+            os << " rank " << r << " at event " << s.consumed << " ("
+               << s.cur->toString() << ")";
           }
         }
         throw Error(os.str());
@@ -120,9 +220,11 @@ class Sim {
     }
 
     Prediction p;
-    p.rankClockNs = clock_;
-    p.rankCommNs = comm_;
-    for (uint64_t c : clock_) p.predictedNs = std::max(p.predictedNs, c);
+    for (const RankState& s : ranks_) {
+      p.rankClockNs.push_back(s.clock);
+      p.rankCommNs.push_back(s.comm);
+      p.predictedNs = std::max(p.predictedNs, s.clock);
+    }
     p.totalEvents = totalEvents_;
     return p;
   }
@@ -130,64 +232,64 @@ class Sim {
  private:
   /// Attempt the next event of rank r. Returns true when it completed.
   bool step(int r) {
-    const Event* ep = src_.current(static_cast<size_t>(r));
-    if (ep == nullptr) return false;
-    const Event& e = *ep;
+    RankState& s = ranks_[static_cast<size_t>(r)];
+    if (s.cur == nullptr) return false;
+    const Event& e = *s.cur;
+    if (!s.computeCharged) {
+      // The pre-op computation is charged once, even when the op blocks
+      // and is retried.
+      s.clock += e.computeNs;
+      s.computeCharged = true;
+    }
 
     switch (e.op) {
       case ir::MpiOp::Send:
       case ir::MpiOp::Isend: {
-        chargeCompute(r, e);
-        const ChanKey key{r, e.peer, e.tag, e.comm};
+        CYP_CHECK(e.peer >= 0 && static_cast<size_t>(e.peer) < ranks_.size(),
+                  "replay: send to rank " << e.peer << " outside a world of "
+                                          << ranks_.size() << " ranks");
         const uint64_t sendCost = e.op == ir::MpiOp::Send
                                       ? net_.sendOverhead(e.bytes)
                                       : static_cast<uint64_t>(net_.overheadNs);
         if (e.op == ir::MpiOp::Isend) {
           OutstandingReq q;
           q.isSend = true;
-          q.key = key;
           q.bytes = e.bytes;
           q.postSite = e.callSiteId;
-          q.postClock = clock_[static_cast<size_t>(r)];
-          outstanding_[static_cast<size_t>(r)].push_back(q);
+          q.postClock = s.clock;
+          s.outstanding.push_back(q);
         }
-        channels_[key].push_back(clock_[static_cast<size_t>(r)] +
-                                 net_.transferTime(e.bytes));
-        advance(r, sendCost);
+        ranks_[static_cast<size_t>(e.peer)]
+            .inbox.get(r, e.tag, e.comm)
+            .push(s.clock + net_.transferTime(e.bytes));
+        charge(s, sendCost);
         return finishEvent(r);
       }
       case ir::MpiOp::Recv: {
-        chargeCompute(r, e);
         const int32_t src = e.peer == trace::kAnySource ? e.matchedSource : e.peer;
         CYP_CHECK(src >= 0, "replay: Recv without a resolvable source");
-        const ChanKey key{src, r, e.tag, e.comm};
-        auto it = channels_.find(key);
-        if (it == channels_.end() || it->second.empty()) return false;  // blocked
-        const uint64_t avail = it->second.front();
-        it->second.pop_front();
-        const uint64_t done =
-            std::max(clock_[static_cast<size_t>(r)], avail) + net_.recvOverhead(e.bytes);
-        comm_[static_cast<size_t>(r)] += done - clock_[static_cast<size_t>(r)];
-        clock_[static_cast<size_t>(r)] = done;
+        Fifo* f = s.inbox.find(src, e.tag, e.comm);
+        if (f == nullptr || f->size() == 0) return false;  // blocked
+        wait(s, std::max(s.clock, f->pop()) + net_.recvOverhead(e.bytes));
         return finishEvent(r);
       }
       case ir::MpiOp::Irecv: {
-        chargeCompute(r, e);
         OutstandingReq q;
         q.isSend = false;
-        q.key = ChanKey{e.peer, r, e.tag, e.comm};  // src may be ANY
+        q.src = e.peer;
+        q.tag = e.tag;
+        q.comm = e.comm;
         q.bytes = e.bytes;
         q.postSite = e.callSiteId;
-        q.postClock = clock_[static_cast<size_t>(r)];
-        outstanding_[static_cast<size_t>(r)].push_back(q);
-        advance(r, static_cast<uint64_t>(net_.overheadNs));
+        q.postClock = s.clock;
+        s.outstanding.push_back(q);
+        charge(s, static_cast<uint64_t>(net_.overheadNs));
         return finishEvent(r);
       }
       case ir::MpiOp::Wait:
       case ir::MpiOp::Waitany:
       case ir::MpiOp::Waitsome: {
-        chargeCompute(r, e);
-        auto& reqs = outstanding_[static_cast<size_t>(r)];
+        auto& reqs = s.outstanding;
         // The completed request is identified by its posting site (the
         // paper's request->GID mapping), FIFO among same-site posts.
         size_t pick = reqs.size();
@@ -199,37 +301,55 @@ class Sim {
         }
         CYP_CHECK(pick < reqs.size(),
                   "replay: wait for unknown request site " << e.reqId);
-        uint64_t completion = 0;
-        if (!completeReq(r, reqs[static_cast<size_t>(pick)], e, &completion))
-          return false;  // message not yet available
+        const OutstandingReq& q = reqs[pick];
+        uint64_t completion = q.postClock;
+        if (q.isSend) {
+          completion += net_.sendOverhead(q.bytes);
+        } else {
+          CYP_CHECK(q.src != trace::kAnySource || e.matchedSource >= 0,
+                    "replay: wildcard wait without matched source");
+          const int32_t src = q.src == trace::kAnySource ? e.matchedSource : q.src;
+          Fifo* f = s.inbox.find(src, q.tag, q.comm);
+          if (f == nullptr || f->size() == 0) return false;  // not yet available
+          completion = std::max(completion, f->pop()) + net_.recvOverhead(q.bytes);
+        }
         reqs.erase(reqs.begin() + static_cast<ssize_t>(pick));
-        const uint64_t done = std::max(clock_[static_cast<size_t>(r)], completion);
-        comm_[static_cast<size_t>(r)] += done - clock_[static_cast<size_t>(r)];
-        clock_[static_cast<size_t>(r)] = done;
+        wait(s, std::max(s.clock, completion));
         return finishEvent(r);
       }
       case ir::MpiOp::Waitall: {
-        chargeCompute(r, e);
-        auto& reqs = outstanding_[static_cast<size_t>(r)];
-        // All must be completable; peek without consuming first.
-        uint64_t latest = clock_[static_cast<size_t>(r)];
-        // Make a scratch copy of channels' heads per key to honour FIFO.
-        std::map<ChanKey, size_t> consumed;
-        for (const OutstandingReq& q : reqs) {
-          uint64_t completion = 0;
-          if (!peekReq(r, q, e, consumed, &completion)) return false;
-          latest = std::max(latest, completion);
+        // All or nothing: claim one message per receive, in posting
+        // order, without consuming; pop the claims only once every
+        // request can complete.
+        claims_.clear();
+        uint64_t latest = s.clock;
+        for (const OutstandingReq& q : s.outstanding) {
+          if (q.isSend) {
+            latest = std::max(latest, q.postClock + net_.sendOverhead(q.bytes));
+            continue;
+          }
+          int32_t src = q.src;
+          if (src == trace::kAnySource) {
+            // The lowest source with a message that no earlier receive
+            // of this Waitall has claimed.
+            src = e.matchedSource >= 0
+                      ? e.matchedSource
+                      : s.inbox.lowestSource(q.tag, q.comm,
+                                             [&](Fifo* f) { return claimed(f); });
+            if (src < 0) return false;
+          }
+          Fifo* f = s.inbox.find(src, q.tag, q.comm);
+          if (f == nullptr) return false;
+          size_t& used = claimed(f);
+          if (used >= f->size()) return false;
+          latest = std::max(latest, std::max(q.postClock, (*f)[used]) +
+                                        net_.recvOverhead(q.bytes));
+          ++used;
         }
-        // Commit: consume the messages.
-        for (const OutstandingReq& q : reqs) {
-          uint64_t completion = 0;
-          const bool ok = completeReq(r, q, e, &completion);
-          CYP_CHECK(ok, "replay: waitall commit failed after successful peek");
-        }
-        reqs.clear();
-        const uint64_t done = latest + net_.recvOverhead(0);
-        comm_[static_cast<size_t>(r)] += done - clock_[static_cast<size_t>(r)];
-        clock_[static_cast<size_t>(r)] = done;
+        for (const auto& [f, n] : claims_)
+          for (size_t i = 0; i < n; ++i) f->pop();
+        s.outstanding.clear();
+        wait(s, latest + net_.recvOverhead(0));
         return finishEvent(r);
       }
       case ir::MpiOp::Barrier:
@@ -247,165 +367,115 @@ class Sim {
     CYP_FAIL("replay: bad op");
   }
 
-  /// Charge the event's pre-op computation exactly once even when the
-  /// op itself blocks and is retried.
-  void chargeCompute(int r, const Event& e) {
-    const auto idx = static_cast<int64_t>(consumed_[static_cast<size_t>(r)]);
-    if (computeChargedIdx_[static_cast<size_t>(r)] == idx) return;
-    clock_[static_cast<size_t>(r)] += e.computeNs;
-    computeChargedIdx_[static_cast<size_t>(r)] = idx;
+  /// Time inside an MPI op that does not wait for a peer.
+  static void charge(RankState& s, uint64_t cost) {
+    s.clock += cost;
+    s.comm += cost;
   }
 
-  void advance(int r, uint64_t commCost) {
-    clock_[static_cast<size_t>(r)] += commCost;
-    comm_[static_cast<size_t>(r)] += commCost;
+  /// Move the clock to `until`, counting the interval as communication.
+  static void wait(RankState& s, uint64_t until) {
+    s.comm += until - s.clock;
+    s.clock = until;
   }
 
   bool finishEvent(int r) {
+    RankState& s = ranks_[static_cast<size_t>(r)];
     src_.advance(static_cast<size_t>(r));
-    ++consumed_[static_cast<size_t>(r)];
+    s.cur = src_.current(static_cast<size_t>(r));
+    s.computeCharged = false;
+    ++s.consumed;
     ++totalEvents_;
     return true;
   }
 
-  /// Completion time of one outstanding request, consuming its message.
-  bool completeReq(int r, const OutstandingReq& q, const Event& waitEv,
-                   uint64_t* completion) {
-    if (q.isSend) {
-      *completion = q.postClock + net_.sendOverhead(q.bytes);
-      return true;
-    }
-    ChanKey key = q.key;
-    if (key.src == trace::kAnySource) {
-      CYP_CHECK(waitEv.matchedSource >= 0 ||
-                    waitEv.op == ir::MpiOp::Waitall,
-                "replay: wildcard wait without matched source");
-      key.src = waitEv.matchedSource >= 0 ? waitEv.matchedSource
-                                          : anyMatchSource(r, key);
-      CYP_CHECK(key.src >= 0, "replay: cannot resolve wildcard source");
-    }
-    auto it = channels_.find(key);
-    if (it == channels_.end() || it->second.empty()) return false;
-    *completion = std::max(q.postClock, it->second.front()) +
-                  net_.recvOverhead(q.bytes);
-    it->second.pop_front();
-    return true;
+  /// Messages of `f` that the Waitall being attempted has claimed.
+  size_t& claimed(Fifo* f) {
+    for (auto& [g, n] : claims_)
+      if (g == f) return n;
+    return claims_.emplace_back(f, 0).second;
   }
-
-  /// Like completeReq but without consuming (for waitall's all-or-nothing
-  /// check); `consumed` tracks FIFO positions already claimed.
-  bool peekReq(int r, const OutstandingReq& q, const Event& waitEv,
-               std::map<ChanKey, size_t>& consumed, uint64_t* completion) {
-    if (q.isSend) {
-      *completion = q.postClock + net_.sendOverhead(q.bytes);
-      return true;
-    }
-    ChanKey key = q.key;
-    if (key.src == trace::kAnySource) {
-      key.src = waitEv.matchedSource >= 0 ? waitEv.matchedSource
-                                          : anyMatchSource(r, key);
-      if (key.src < 0) return false;
-    }
-    auto it = channels_.find(key);
-    if (it == channels_.end()) return false;
-    size_t& used = consumed[key];
-    if (used >= it->second.size()) return false;
-    *completion = std::max(q.postClock, it->second[used]) +
-                  net_.recvOverhead(q.bytes);
-    ++used;
-    return true;
-  }
-
-  /// Resolve a wildcard receive inside Waitall: pick any channel into r
-  /// with a pending message (deterministic lowest source).
-  int32_t anyMatchSource(int r, const ChanKey& proto) {
-    for (const auto& [key, dq] : channels_) {
-      if (key.dst == r && key.tag == proto.tag && key.comm == proto.comm &&
-          !dq.empty()) {
-        return key.src;
-      }
-    }
-    return -1;
-  }
-
-  struct Collective {
-    ir::MpiOp op = ir::MpiOp::Barrier;
-    int64_t bytes = 0;
-    int arrived = 0;
-    bool done = false;
-    uint64_t finish = 0;
-    std::vector<uint64_t> arrivals;
-    std::map<int, int32_t> splitResult;  // world rank -> new comm handle
-  };
 
   bool stepCollective(int r, const Event& e) {
-    chargeCompute(r, e);
-    const auto rr = static_cast<size_t>(r);
-    if (pendingColl_[rr] < 0) {
+    RankState& s = ranks_[static_cast<size_t>(r)];
+    if (s.pendingComm == nullptr) {
       // First attempt: register the arrival.
       const std::vector<int>& members = commMembers(e.comm);
-      CYP_CHECK(std::binary_search(members.begin(), members.end(), r),
+      const auto pos = std::lower_bound(members.begin(), members.end(), r);
+      CYP_CHECK(pos != members.end() && *pos == r,
                 "replay: rank " << r << " not in communicator " << e.comm);
-      const int mySeq = collSeq_[rr][e.comm]++;
-      Collective& c = slot(e.comm, mySeq);
+      const auto me = static_cast<size_t>(pos - members.begin());
+      CommCollectives& cc = colls_[e.comm];
+      const int seq = nextSeq(s, e.comm);
+      Collective& c = slot(cc, seq);
       if (c.arrived == 0) {
         c.op = e.op;
         c.bytes = e.op == ir::MpiOp::CommSplit ? 0 : e.bytes;
-        c.arrivals.assign(src_.numRanks(), 0);
+        c.arrivals.assign(members.size(), 0);
+        if (e.op == ir::MpiOp::CommSplit) c.splitResult.assign(members.size(), -1);
       } else {
         CYP_CHECK(c.op == e.op &&
                       (e.op == ir::MpiOp::CommSplit || c.bytes == e.bytes),
                   "replay: collective mismatch at " << ir::mpiOpName(e.op));
       }
-      c.arrivals[rr] = clock_[rr];
+      c.arrivals[me] = s.clock;
       if (e.op == ir::MpiOp::CommSplit) {
         // The recorded result handle defines the group membership; the
         // replay rebuilds comms from it rather than recomputing.
-        c.splitResult[r] = static_cast<int32_t>(e.reqId);
+        c.splitResult[me] = static_cast<int32_t>(e.reqId);
       }
       ++c.arrived;
       if (c.arrived == static_cast<int>(members.size())) {
-        uint64_t t0 = 0;
-        for (int m : members) t0 = std::max(t0, c.arrivals[static_cast<size_t>(m)]);
+        const uint64_t t0 = *std::max_element(c.arrivals.begin(), c.arrivals.end());
         const ir::MpiOp costOp =
             e.op == ir::MpiOp::CommSplit ? ir::MpiOp::Barrier : e.op;
         c.finish = t0 + net_.collectiveCost(costOp, c.bytes,
                                             static_cast<int>(members.size()));
         c.done = true;
         if (e.op == ir::MpiOp::CommSplit) {
-          // Group members by recorded handle.
+          // Group members by recorded handle; members are sorted, so
+          // each group is too.
           std::map<int32_t, std::vector<int>> groups;
-          for (int m : members) {
-            auto it = c.splitResult.find(m);
-            if (it != c.splitResult.end() && it->second >= 0)
-              groups[it->second].push_back(m);
-          }
-          for (auto& [id, ranks] : groups) {
-            std::sort(ranks.begin(), ranks.end());
-            commMembers_[id] = ranks;
-          }
+          for (size_t i = 0; i < members.size(); ++i)
+            if (c.splitResult[i] >= 0) groups[c.splitResult[i]].push_back(members[i]);
+          for (auto& [id, ranks] : groups) commMembers_[id] = std::move(ranks);
         }
       }
-      pendingColl_[rr] = mySeq;
-      pendingCollComm_[rr] = e.comm;
+      s.pendingComm = &cc;
+      s.pendingSeq = seq;
     }
-    Collective& c = slot(pendingCollComm_[rr], pendingColl_[rr]);
+    CommCollectives& cc = *s.pendingComm;
+    Collective& c = cc.slots[static_cast<size_t>(s.pendingSeq - cc.base)];
     if (!c.done) return false;
-    comm_[rr] += c.finish - c.arrivals[rr];
-    clock_[rr] = c.finish;
-    pendingColl_[rr] = -1;
+    // The clock has not moved since the arrival was registered.
+    wait(s, c.finish);
+    s.pendingComm = nullptr;
+    ++c.left;
+    while (!cc.slots.empty() && cc.slots.front().done &&
+           cc.slots.front().left == cc.slots.front().arrived) {
+      cc.slots.pop_front();
+      ++cc.base;
+    }
     return finishEvent(r);
   }
 
-  Collective& slot(int comm, int seq) {
-    auto& dq = colls_[comm];
-    while (static_cast<size_t>(seq) >= dq.size()) dq.emplace_back();
-    return dq[static_cast<size_t>(seq)];
+  /// Rank s's next instance number on `comm`.
+  static int nextSeq(RankState& s, int comm) {
+    for (auto& [c, seq] : s.collSeq)
+      if (c == comm) return seq++;
+    s.collSeq.emplace_back(comm, 1);
+    return 0;
+  }
+
+  static Collective& slot(CommCollectives& cc, int seq) {
+    const auto i = static_cast<size_t>(seq - cc.base);
+    while (i >= cc.slots.size()) cc.slots.emplace_back();
+    return cc.slots[i];
   }
 
   const std::vector<int>& commMembers(int comm) {
     if (comm == 0 && commMembers_.find(0) == commMembers_.end()) {
-      std::vector<int> world(src_.numRanks());
+      std::vector<int> world(ranks_.size());
       for (size_t i = 0; i < world.size(); ++i) world[i] = static_cast<int>(i);
       commMembers_[0] = std::move(world);
     }
@@ -417,15 +487,9 @@ class Sim {
   EventSource& src_;
   simmpi::LogGP net_;
   uint64_t totalEvents_ = 0;
-  std::vector<uint64_t> clock_, comm_;
-  std::vector<size_t> consumed_;
-  std::map<ChanKey, std::deque<uint64_t>> channels_;  // message avail times
-  std::vector<std::vector<OutstandingReq>> outstanding_;
-  std::vector<std::map<int, int>> collSeq_;
-  std::map<int, std::deque<Collective>> colls_;
-  std::vector<int64_t> computeChargedIdx_;
-  std::vector<int> pendingColl_;
-  std::vector<int> pendingCollComm_;
+  std::vector<RankState> ranks_;
+  std::vector<std::pair<Fifo*, size_t>> claims_;  // Waitall scratch
+  std::map<int, CommCollectives> colls_;
   std::map<int, std::vector<int>> commMembers_;
 };
 

@@ -8,6 +8,15 @@
 // sequence-preserving (including wildcard match sources), the replay is
 // fully deterministic.
 //
+// State is flat and per rank. Each destination rank owns an inbox: a
+// vector of its incoming channels sorted by (src, tag, comm), searched
+// by binary search, each channel a vector-backed FIFO of message
+// availability times. A wildcard receive that carries no recorded
+// source (one completed by a Waitall) takes the lowest source with a
+// message not yet claimed by an earlier receive of the same Waitall.
+// A collective instance holds one arrival per member of its
+// communicator and is freed once every member has left it.
+//
 // The simulator only ever inspects each rank's *current* event, so it
 // consumes an event-at-a-time source rather than materialized vectors:
 // the MergedCtt overloads drive it straight off the compressed trace

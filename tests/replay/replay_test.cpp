@@ -139,6 +139,21 @@ TEST(Replay, MalformedTraceDeadlockDetected) {
   EXPECT_THROW(simulate(t), Error);
 }
 
+TEST(Replay, SendOutsideTheWorldIsRejected) {
+  // Channels live in the destination rank's inbox, so a send to a rank
+  // the trace does not have is refused rather than indexed.
+  trace::RawTrace t;
+  t.ranks.resize(2);
+  trace::Event send;
+  send.op = ir::MpiOp::Send;
+  send.peer = 2;
+  send.bytes = 8;
+  t.ranks[0].events.push_back(send);
+  EXPECT_THROW(simulate(t), Error);
+  t.ranks[0].events[0].peer = -1;
+  EXPECT_THROW(simulate(t), Error);
+}
+
 TEST(Replay, PredictionMatchesMeasuredWithinTolerance) {
   // The Fig. 21 workflow: measure with jitter on the engine, predict by
   // replaying the CYPRESS-decompressed trace with mean times.
@@ -308,6 +323,54 @@ TEST(CompressedReplay, PeakRssStaysFarBelowTheMaterializedTrace) {
   EXPECT_LT(after - before, materialized / 4)
       << "replay grew RSS by " << (after - before) << " bytes against a "
       << materialized << "-byte expansion";
+}
+
+TEST(Replay, WildcardIrecvsInOneWaitallTakeDistinctMessages) {
+  // Two ANY_SOURCE receives completed by one Waitall must resolve to
+  // two different pending messages: the second takes the lowest source
+  // that the first has not already claimed.
+  const char* src = R"(
+    func main() {
+      if (rank == 0) {
+        var a = mpi_irecv(ANY_SOURCE, 64, 5);
+        var b = mpi_irecv(ANY_SOURCE, 64, 5);
+        mpi_waitall();
+      } else {
+        compute(rank * 1000);
+        mpi_send(0, 64, 5);
+      }
+    })";
+  const auto t = runTraced(src, 3);
+  Prediction p;
+  ASSERT_NO_THROW(p = simulate(t.raw));
+  EXPECT_EQ(p.totalEvents, 5u);
+  // Rank 0 waits for rank 2's message, sent after 2000 ns of compute.
+  EXPECT_GT(p.rankClockNs[0], 2000u);
+  EXPECT_GT(p.rankCommNs[0], 2000u);
+
+  // The compressed trace (mean times) replays the same way.
+  const MergedTrace m = mergeTraced(src, 3);
+  EXPECT_EQ(simulate(m.m).totalEvents, 5u);
+}
+
+TEST(CompressedReplay, FinishedCollectivesAreRetired) {
+  // Each collective instance holds one arrival time per member until
+  // every member has left it. Keeping finished instances would grow by
+  // 4000 * 1024 * 8 bytes here; the replay must stay far below that.
+  const char* src = R"(
+    func main() {
+      for (var k = 0; k < 4000; k = k + 1) { mpi_allreduce(8); }
+    })";
+  const int ranks = 1024;
+  const MergedTrace t = mergeTraced(src, ranks);
+  const uint64_t before = io::peakRssBytes();
+  const auto p = simulate(t.m);
+  const uint64_t after = io::peakRssBytes();
+  ASSERT_EQ(p.totalEvents, 4000u * ranks);
+  const uint64_t kept = 4000ull * ranks * sizeof(uint64_t);
+  EXPECT_LT(after - before, kept / 4)
+      << "replay grew RSS by " << (after - before) << " bytes; keeping every "
+      << "collective instance would cost " << kept;
 }
 
 }  // namespace
