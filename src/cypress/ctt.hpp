@@ -11,9 +11,10 @@
 //
 // CttRecorder implements the PMPI observer: it maintains the "program
 // pointer" p of the paper — a stack of active structure frames — and
-// fills event details into the static template. All hook work is charged
-// to a CostMeter so the intra-process overhead experiments measure
-// exactly the compression cost.
+// fills event details into the static template. With Options::meterHooks
+// on, all hook work is charged to a CostMeter so the intra-process
+// overhead experiments measure exactly the compression cost; off (the
+// default) the hooks read no clock.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +96,9 @@ class CttRecorder final : public trace::Observer {
     /// to compare-with-last; larger windows capture loop-carried
     /// parameter cycles at slightly higher per-event cost.
     int window;
+    /// Charge every hook's wall time to cost() (paper Fig. 16). Off by
+    /// default: two clock reads per hook cost about as much as the hook.
+    bool meterHooks = false;
     Options() : timeMode(TimeMode::MeanStddev), window(64) {}
     explicit Options(TimeMode m, int w = 64) : timeMode(m), window(w) {}
   };
@@ -113,7 +117,8 @@ class CttRecorder final : public trace::Observer {
   int rank() const { return rank_; }
   bool finalized() const { return finalized_; }
 
-  /// CPU time spent inside the hooks (the tool's intra-process overhead).
+  /// CPU time spent inside the hooks (the tool's intra-process overhead);
+  /// stays zero unless Options::meterHooks.
   const CostMeter& cost() const { return cost_; }
 
   /// CTT payload + recorder bookkeeping memory.
@@ -138,6 +143,7 @@ class CttRecorder final : public trace::Observer {
   /// Close frames until the stack has `depth` entries.
   void closeTo(size_t depth);
   void pushLoopIteration(const cst::Node* loop);
+  CostMeter* meter() { return opts_.meterHooks ? &cost_ : nullptr; }
 
   const cst::Tree& cst_;
   int rank_;

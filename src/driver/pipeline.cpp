@@ -13,7 +13,9 @@ namespace cypress::driver {
 namespace {
 
 template <typename Recorders>
-double sumCostSeconds(const Recorders& recs) {
+double sumCostSeconds(const RunOutput& run, const Recorders& recs,
+                      const char* what) {
+  CYP_CHECK(run.hooksMetered, what << ": run has Options::meterHooks off");
   double total = 0.0;
   for (const auto& r : recs) total += r->cost().totalSeconds();
   return total;
@@ -41,9 +43,15 @@ void compressCttTo(const core::Ctt& ctt, ByteSink& sink, int threads) {
 
 }  // namespace
 
-double RunOutput::cypressIntraSeconds() const { return sumCostSeconds(cypress); }
-double RunOutput::scalaIntraSeconds() const { return sumCostSeconds(scala); }
-double RunOutput::scala2IntraSeconds() const { return sumCostSeconds(scala2); }
+double RunOutput::cypressIntraSeconds() const {
+  return sumCostSeconds(*this, cypress, "cypressIntraSeconds");
+}
+double RunOutput::scalaIntraSeconds() const {
+  return sumCostSeconds(*this, scala, "scalaIntraSeconds");
+}
+double RunOutput::scala2IntraSeconds() const {
+  return sumCostSeconds(*this, scala2, "scala2IntraSeconds");
+}
 
 size_t RunOutput::cypressMemoryPerRank() const { return avgMemory(cypress); }
 size_t RunOutput::scalaMemoryPerRank() const { return avgMemory(scala); }
@@ -91,6 +99,7 @@ RunOutput runSource(const std::string& name, const std::string& source,
   RunOutput out;
   out.workload = name;
   out.procs = opts.procs;
+  out.hooksMetered = opts.meterHooks;
 
   // Static phase: a precompiled program (the cyptraced CST cache) is
   // shared as-is — it is immutable during runs; otherwise compile fresh.
@@ -128,6 +137,13 @@ RunOutput runSource(const std::string& name, const std::string& source,
   std::vector<std::unique_ptr<trace::RawRecorder>> raws;
   std::vector<std::unique_ptr<trace::TeeObserver>> tees;
   std::vector<trace::Observer*> obs;
+  core::CttRecorder::Options cypOpts(opts.timeMode);
+  cypOpts.meterHooks = opts.meterHooks;
+  const auto scalaOpts = [&](scalatrace::Flavor f) {
+    scalatrace::Recorder::Options o(f);
+    o.meterHooks = opts.meterHooks;
+    return o;
+  };
   for (int r = 0; r < opts.procs; ++r) {
     auto tee = std::make_unique<trace::TeeObserver>();
     if (opts.withRaw) {
@@ -143,17 +159,17 @@ RunOutput runSource(const std::string& name, const std::string& source,
     }
     if (opts.withCypress) {
       out.cypress.push_back(std::make_unique<core::CttRecorder>(
-          *out.cst, r, core::CttRecorder::Options(opts.timeMode)));
+          *out.cst, r, cypOpts));
       tee->add(out.cypress.back().get());
     }
     if (opts.withScala) {
       out.scala.push_back(std::make_unique<scalatrace::Recorder>(
-          r, scalatrace::Recorder::Options(scalatrace::Flavor::V1)));
+          r, scalaOpts(scalatrace::Flavor::V1)));
       tee->add(out.scala.back().get());
     }
     if (opts.withScala2) {
       out.scala2.push_back(std::make_unique<scalatrace::Recorder>(
-          r, scalatrace::Recorder::Options(scalatrace::Flavor::V2)));
+          r, scalaOpts(scalatrace::Flavor::V2)));
       tee->add(out.scala2.back().get());
     }
     tees.push_back(std::move(tee));

@@ -72,6 +72,14 @@ struct Options {
   bool withScala = true;
   bool withScala2 = true;
   bool withCypress = true;
+  /// Charge each CYPRESS and ScalaTrace hook's wall time to its
+  /// recorder's CostMeter (paper Fig. 16), read back through
+  /// RunOutput::*IntraSeconds(). That costs two clock reads per hook,
+  /// about as much as the CYPRESS hook itself, so `cyptrace` and the
+  /// cyptraced RUN job turn it off. Defaults to on, like withRaw,
+  /// because library callers (fig16, compare_tools, perfbench's ctt
+  /// stage) read the totals off a default Options.
+  bool meterHooks = true;
   core::TimeMode timeMode = core::TimeMode::MeanStddev;
   simmpi::Engine::Config engine;  // numRanks is overwritten with `procs`
   /// Also journal raw events to a crash-consistent CYJ1 stream (see
@@ -143,7 +151,10 @@ struct RunOutput {
   double tracedWallSeconds = 0.0;
   double baselineWallSeconds = 0.0;  // only when measureBaseline
 
-  /// Sum of per-rank intra-process hook costs (seconds).
+  /// Options::meterHooks of the run.
+  bool hooksMetered = false;
+  /// Sum of per-rank intra-process hook costs (seconds). Throws on a run
+  /// with Options::meterHooks off, whose recorders read no clock.
   double cypressIntraSeconds() const;
   double scalaIntraSeconds() const;
   double scala2IntraSeconds() const;

@@ -9,7 +9,7 @@ Recorder::Recorder(int rank, Options opts) : rank_(rank), opts_(opts) {
 }
 
 void Recorder::onEvent(const trace::Event& e) {
-  ScopedCost sc(cost_);
+  ScopedCost sc(meter());
   seq_.push_back(Element::fromEvent(e, rank_));
   tryCompress(/*final=*/false);
 }
@@ -91,7 +91,7 @@ void Recorder::tryCompress(bool final) {
 }
 
 void Recorder::onFinalize() {
-  ScopedCost sc(cost_);
+  ScopedCost sc(meter());
   CYP_CHECK(!finalized_, "double finalize");
   tryCompress(/*final=*/true);  // squeeze the tail once nothing can grow
   for (Element& e : seq_) e.normalize();

@@ -2,9 +2,10 @@
 //
 // Unlike CYPRESS, the dynamic recorders receive no static structure: they
 // discover repetition bottom-up by searching the tail of the compressed
-// queue for repeats (greedy first-match, as in Noeth et al.). Every hook
-// is charged to a CostMeter; the per-event search over the window is the
-// source of the intra-process overhead the paper measures in Fig. 16.
+// queue for repeats (greedy first-match, as in Noeth et al.). With
+// Options::meterHooks on, every hook is charged to a CostMeter; the
+// per-event search over the window is the source of the intra-process
+// overhead the paper measures in Fig. 16.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,9 @@ class Recorder final : public trace::Observer {
     Flavor flavor;
     /// Maximal repeat length searched at the queue tail.
     int window;
+    /// Charge every hook's wall time to cost() (paper Fig. 16); off by
+    /// default, when the hooks read no clock.
+    bool meterHooks = false;
     Options() : flavor(Flavor::V1), window(24) {}
     Options(Flavor f, int w = 24) : flavor(f), window(w) {}
   };
@@ -41,6 +45,7 @@ class Recorder final : public trace::Observer {
   const std::vector<Element>& sequence() const { return seq_; }
   int rank() const { return rank_; }
   bool finalized() const { return finalized_; }
+  /// Hook cost; stays zero unless Options::meterHooks.
   const CostMeter& cost() const { return cost_; }
   size_t memoryBytes() const;
 
@@ -56,6 +61,7 @@ class Recorder final : public trace::Observer {
 
  private:
   void tryCompress(bool final);
+  CostMeter* meter() { return opts_.meterHooks ? &cost_ : nullptr; }
 
   int rank_;
   Options opts_;

@@ -412,6 +412,7 @@ JobServer::AttemptResult JobServer::runAttempt(
       opts.withRaw = false;
       opts.withScala = false;
       opts.withScala2 = false;
+      opts.meterHooks = false;
       opts.onStall = vm::OnStall::Salvage;
       opts.cancel = &cancel;
       opts.precompiled = cache_.get(source);

@@ -2,7 +2,9 @@
 //
 // The intra-process overhead figures (paper Fig. 16) charge each tool
 // for the time spent inside its per-event record call; CostMeter
-// accumulates those charges with minimal disturbance.
+// accumulates those charges. Metering is opt-in: a ScopedCost over a
+// null meter reads no clock, so recorders that nobody asks for their
+// hook cost (the CLI, the daemon) pay nothing for the accounting.
 #pragma once
 
 #include <chrono>
@@ -30,16 +32,19 @@ class CostMeter {
   uint64_t total_ = 0;
 };
 
-/// RAII region timer charging into a CostMeter.
+/// RAII region timer charging into a CostMeter; a no-op (no clock
+/// reads) when the meter is null.
 class ScopedCost {
  public:
-  explicit ScopedCost(CostMeter& m) : meter_(m), start_(nowNs()) {}
-  ~ScopedCost() { meter_.add(nowNs() - start_); }
+  explicit ScopedCost(CostMeter* m) : meter_(m), start_(m ? nowNs() : 0) {}
+  ~ScopedCost() {
+    if (meter_ != nullptr) meter_->add(nowNs() - start_);
+  }
   ScopedCost(const ScopedCost&) = delete;
   ScopedCost& operator=(const ScopedCost&) = delete;
 
  private:
-  CostMeter& meter_;
+  CostMeter* meter_;
   uint64_t start_;
 };
 

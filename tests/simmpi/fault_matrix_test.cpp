@@ -64,8 +64,9 @@ void checkOutcome(const driver::RunOutput& run,
   } else {
     // Salvaged: diagnostics must exist iff ranks stalled, and every
     // dead rank must be annotated lost.
-    if (!run.runStats.stalledRanks.empty())
+    if (!run.runStats.stalledRanks.empty()) {
       EXPECT_FALSE(run.runStats.stallDiagnostics.empty()) << ctx;
+    }
     for (int r : run.runStats.deadRanks) EXPECT_TRUE(lost.contains(r)) << ctx;
   }
 }

@@ -257,6 +257,7 @@ driver::RunOutput runTarget(const Args& a, bool allTools) {
   opts.withRaw = allTools;
   opts.withScala = allTools;
   opts.withScala2 = allTools;
+  opts.meterHooks = false;  // no subcommand reports hook cost
   for (const std::string& spec : a.faultSpecs)
     opts.engine.faults.faults.push_back(simmpi::parseFaultSpec(spec));
   opts.withJournal = !a.journal.empty();
