@@ -4,7 +4,7 @@
 
 namespace cypress::core {
 
-RankReader::RankReader(const MergedCtt& m, int rank) : rank_(rank) {
+RankWalk::RankWalk(const MergedCtt& m, int rank) : rank_(rank) {
   const int n = m.cst().numNodes();
   loops_.resize(static_cast<size_t>(n));
   taken_.resize(static_cast<size_t>(n));
@@ -25,9 +25,62 @@ RankReader::RankReader(const MergedCtt& m, int rank) : rank_(rank) {
       }
     }
   }
+  push(m.cst().root(), 1);
 }
 
-uint64_t RankReader::loopCount(int gid) {
+bool RankWalk::fill(std::vector<trace::Event>& out, size_t max) {
+  while (!stack_.empty()) {
+    // push() invalidates `f`: every case that pushes leaves `f` first.
+    Frame& f = stack_.back();
+    const auto& children = f.node->children;
+    if (f.child == children.size()) {
+      if (--f.iters > 0) {  // the loop's next iteration
+        f.exec = exec_[static_cast<size_t>(f.node->gid)]++;
+        f.child = 0;
+      } else {
+        stack_.pop_back();
+      }
+      continue;
+    }
+    const cst::Node* child = children[f.child].get();
+    const auto gid = static_cast<size_t>(child->gid);
+    switch (child->kind) {
+      case cst::NodeKind::Comm:
+        // Every occurrence recorded for this execution of the enclosing
+        // region: exactly one for ordinary leaves; zero or several for
+        // partial-completion ops and recursion unwinds.
+        while (max > 0 && takeAt(leaves_[gid].exec, f.exec)) {
+          fillEvent(child->gid, out.emplace_back());
+          --max;
+        }
+        if (max == 0) return true;  // out is full: resume at this leaf
+        ++f.child;
+        break;
+      case cst::NodeKind::Loop: {
+        const uint64_t iters = loopCount(child->gid);
+        ++f.child;
+        if (iters > 0) push(child, iters);
+        break;
+      }
+      case cst::NodeKind::Branch:
+        if (takeAt(taken_[gid], f.exec))
+          push(child, 1);
+        else
+          ++f.child;
+        break;
+      case cst::NodeKind::Call:
+        ++f.child;
+        push(child, 1);
+        break;
+      case cst::NodeKind::Root:
+        CYP_FAIL("nested root in CST");
+    }
+  }
+  checkDrained();
+  return false;
+}
+
+uint64_t RankWalk::loopCount(int gid) {
   auto& cur = loops_[static_cast<size_t>(gid)];
   CYP_CHECK(cur.has_value() && !cur->done(),
             "decompress: missing loop activation at gid " << gid);
@@ -37,10 +90,8 @@ uint64_t RankReader::loopCount(int gid) {
   return static_cast<uint64_t>(iters);
 }
 
-void RankReader::fillEvent(int gid, trace::Event& e) {
+void RankWalk::fillEvent(int gid, trace::Event& e) {
   LeafState& l = leaves_[static_cast<size_t>(gid)];
-  CYP_CHECK(l.exec.has_value(),
-            "decompress: rank " << rank_ << " has no records at gid " << gid);
   // Select the record whose next occurrence ordinal is now.
   const int64_t n = static_cast<int64_t>(l.nextOrdinal++);
   RecState* state = nullptr;
@@ -55,7 +106,6 @@ void RankReader::fillEvent(int gid, trace::Event& e) {
   state->ord.next();
   const CommRecord& rec = *state->rec;
 
-  e = trace::Event{};
   e.op = rec.op;
   e.peer = rec.peer.decode(rank_);
   e.bytes = rec.bytes;
@@ -69,7 +119,7 @@ void RankReader::fillEvent(int gid, trace::Event& e) {
   e.computeNs = static_cast<uint64_t>(rec.compute.mean());
 }
 
-void RankReader::checkDrained() const {
+void RankWalk::checkDrained() const {
   for (size_t g = 0; g < leaves_.size(); ++g) {
     CYP_CHECK(!loops_[g].has_value() || loops_[g]->done(),
               "decompress: loop activations left over at gid " << g);
@@ -86,56 +136,20 @@ void RankReader::checkDrained() const {
   }
 }
 
-size_t RankReader::memoryBytes() const {
+size_t RankWalk::memoryBytes() const {
   size_t bytes = loops_.capacity() * sizeof(loops_[0]) +
                  taken_.capacity() * sizeof(taken_[0]) +
                  leaves_.capacity() * sizeof(LeafState) +
-                 exec_.capacity() * sizeof(uint64_t);
+                 exec_.capacity() * sizeof(uint64_t) +
+                 stack_.capacity() * sizeof(Frame);
   for (const LeafState& l : leaves_)
     bytes += l.recs.capacity() * sizeof(RecState);
   return bytes;
 }
 
-namespace {
-
-// The recursive pre-order walk. It stays separate from the cursor's
-// explicit-stack walk because draining the cursor is measurably slower
-// (DESIGN.md §4, item 8); both read the payload through RankReader.
-void walk(RankReader& rd, const cst::Node* n, std::vector<trace::Event>& out) {
-  const uint64_t g = rd.enter(n->gid);
-  for (const auto& childPtr : n->children) {
-    const cst::Node* child = childPtr.get();
-    switch (child->kind) {
-      case cst::NodeKind::Comm:
-        // Every occurrence recorded for this execution of the enclosing
-        // region: exactly one for ordinary leaves; zero or several for
-        // partial-completion ops and recursion unwinds.
-        while (rd.takeLeaf(child->gid, g))
-          rd.fillEvent(child->gid, out.emplace_back());
-        break;
-      case cst::NodeKind::Loop:
-        for (uint64_t k = rd.loopCount(child->gid); k > 0; --k)
-          walk(rd, child, out);
-        break;
-      case cst::NodeKind::Branch:
-        while (rd.takeBranch(child->gid, g)) walk(rd, child, out);
-        break;
-      case cst::NodeKind::Call:
-        walk(rd, child, out);
-        break;
-      case cst::NodeKind::Root:
-        CYP_FAIL("nested root in CST");
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<trace::Event> decompressRank(const MergedCtt& m, int rank) {
-  RankReader rd(m, rank);
   std::vector<trace::Event> out;
-  walk(rd, m.cst().root(), out);
-  rd.checkDrained();
+  RankWalk(m, rank).fill(out, SIZE_MAX);
   return out;
 }
 

@@ -110,21 +110,6 @@ RunOutput runSource(const std::string& name, const std::string& source,
   out.compileStats = prog->stats;
   out.plainCompileSeconds = prog->plainCompileSeconds;
 
-  // Optional untraced baseline run.
-  if (opts.measureBaseline) {
-    simmpi::Engine::Config cfg = opts.engine;
-    cfg.numRanks = opts.procs;
-    simmpi::Engine engine(cfg);
-    std::vector<trace::Observer*> none(static_cast<size_t>(opts.procs), nullptr);
-    vm::RunOptions baseOpts;
-    baseOpts.onStall = opts.onStall;
-    baseOpts.threads = opts.threads;
-    baseOpts.cancel = opts.cancel;
-    Stopwatch w;
-    vm::run(*out.module, engine, none, baseOpts);
-    out.baselineWallSeconds = w.seconds();
-  }
-
   // Traced run with all requested tools observing the same events.
   simmpi::Engine::Config cfg = opts.engine;
   cfg.numRanks = opts.procs;
@@ -137,7 +122,7 @@ RunOutput runSource(const std::string& name, const std::string& source,
   std::vector<std::unique_ptr<trace::RawRecorder>> raws;
   std::vector<std::unique_ptr<trace::TeeObserver>> tees;
   std::vector<trace::Observer*> obs;
-  core::CttRecorder::Options cypOpts(opts.timeMode);
+  core::CttRecorder::Options cypOpts;
   cypOpts.meterHooks = opts.meterHooks;
   const auto scalaOpts = [&](scalatrace::Flavor f) {
     scalatrace::Recorder::Options o(f);
@@ -329,6 +314,16 @@ std::string rankFileName(int rank) {
 constexpr uint64_t kRankDirVersion = 1;
 
 }  // namespace
+
+size_t writeMergedTrace(const core::MergedCtt& m, const std::string& path,
+                        io::IoBackend& io) {
+  io::AtomicFileWriter writer(io, path);
+  ByteWriter w(writer);
+  m.serializeTo(w);
+  w.flush();
+  writer.commit();
+  return w.size();
+}
 
 RankSet writeRankTraces(const RunOutput& run, const std::string& dir,
                         io::IoBackend* io, int threads) {

@@ -80,7 +80,6 @@ struct Options {
   /// because library callers (fig16, compare_tools, perfbench's ctt
   /// stage) read the totals off a default Options.
   bool meterHooks = true;
-  core::TimeMode timeMode = core::TimeMode::MeanStddev;
   simmpi::Engine::Config engine;  // numRanks is overwritten with `procs`
   /// Also journal raw events to a crash-consistent CYJ1 stream (see
   /// trace/journal.hpp). The journal is sealed after the run with the
@@ -92,9 +91,6 @@ struct Options {
   /// diagnostics; Salvage finishes normally with the stalled ranks in
   /// RunOutput::runStats so partial traces can still be recovered.
   vm::OnStall onStall = vm::OnStall::Throw;
-  /// Also run once with no observers to obtain the untraced baseline
-  /// wall time (needed for overhead percentages).
-  bool measureBaseline = false;
   /// After the run, roundtrip-verify every produced trace (serialize →
   /// deserialize → re-serialize byte stability, plus decompression
   /// against the raw trace when recorded) and throw on any mismatch.
@@ -103,7 +99,7 @@ struct Options {
   /// (must have been produced by compileForTracing over the same
   /// source). The run output shares — not copies — the module and CST.
   std::shared_ptr<const CompiledProgram> precompiled;
-  /// Cooperative cancellation flag for the traced (and baseline) run,
+  /// Cooperative cancellation flag for the traced run,
   /// forwarded to vm::RunOptions::cancel; see there for semantics.
   const std::atomic<bool>* cancel = nullptr;
   /// Optional sink receiving every appended CYJ1 journal chunk (header
@@ -149,7 +145,6 @@ struct RunOutput {
 
   vm::RunResult runStats;
   double tracedWallSeconds = 0.0;
-  double baselineWallSeconds = 0.0;  // only when measureBaseline
 
   /// Options::meterHooks of the run.
   bool hooksMetered = false;
@@ -201,6 +196,14 @@ SizeReport computeSizes(const RunOutput& run, int threads = 1);
 /// still yields a valid compressed trace for the survivors.
 core::MergedCtt mergeCypress(const RunOutput& run, CostMeter* cost = nullptr,
                              int threads = 1);
+
+/// Stream `m` into `path` atomically (tmp + fsync + rename) through
+/// `io`; the serialized trace never exists as one in-RAM buffer, and a
+/// kill or disk fault mid-write leaves no torn file under `path`.
+/// Returns the bytes written. `cyptrace run` and the cyptraced RUN job
+/// both write their .cyp here.
+size_t writeMergedTrace(const core::MergedCtt& m, const std::string& path,
+                        io::IoBackend& io);
 
 /// Roundtrip-verify every trace a run produced (see verify/roundtrip.hpp).
 verify::Report verifyRun(const RunOutput& run, int threads = 1);

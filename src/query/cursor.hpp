@@ -2,17 +2,14 @@
 //
 // The decompressor in src/cypress materializes a full per-rank event
 // vector; consumers like SIM-MPI replay only ever look at each rank's
-// *current* event. This cursor runs the same pre-order CTT walk as an
-// explicit-stack machine that pauses after every emitted event, so
-// replay and event-at-a-time analyses read the compressed form directly
-// with O(#CST vertices + #records + tree depth) state — never O(events).
-//
-// Both walks read the payload through one core::RankReader, which owns
-// the rank's loop, branch and leaf cursors, the event fill and the
-// end-of-walk drain check. The event sequence is therefore exactly
+// *current* event. This cursor is a thin buffer over the same
+// core::RankWalk that decompressRank() drains in one call: it refills a
+// batch of kBatch events from the walk and serves peek()/next() from
+// it, so replay and event-at-a-time analyses read the compressed form
+// directly with O(#CST vertices + #records + tree depth + kBatch) state
+// — never O(events). The event sequence is therefore exactly
 // decompressRank()'s, and a cursor that reaches done() has passed the
-// same drain check. Only the walk itself is kept twice: the recursive
-// one is measurably faster for full expansion (DESIGN.md §4, item 8).
+// same drain check.
 #pragma once
 
 #include <cstdint>
@@ -43,34 +40,25 @@ class CompressedCursor {
   /// Consume the current event.
   void next();
 
-  /// Events emitted so far (consumed + the buffered one, if any).
+  /// Events consumed by next() so far; after a drain, the rank's event
+  /// count.
   uint64_t emitted() const { return emitted_; }
 
-  int rank() const { return reader_.rank(); }
+  int rank() const { return walk_.rank(); }
 
   /// Heap footprint of the cursor state (the replay-side memory story:
   /// compare against events * sizeof(Event) for the materialized path).
   size_t memoryBytes() const;
 
  private:
-  /// One execution of one CST vertex, paused between children (and
-  /// between occurrences at a Comm child).
-  struct Frame {
-    const cst::Node* node = nullptr;
-    uint64_t exec = 0;    // this execution's ordinal of `node`
-    size_t child = 0;     // index of the child being processed
-    uint64_t pending = 0; // loop iterations still to push
-    bool pendingValid = false;
-  };
+  /// Events per refill. Replay holds one batch per rank: P * kBatch *
+  /// sizeof(Event) of memory.
+  static constexpr size_t kBatch = 8;
 
-  void push(const cst::Node* n);
-  void advance();  // run the machine until an event is buffered or done
-
-  core::RankReader reader_;
-  std::vector<Frame> stack_;
-  trace::Event buf_;
-  bool hasEvent_ = false;
-  bool finished_ = false;
+  core::RankWalk walk_;
+  std::vector<trace::Event> batch_;
+  size_t pos_ = 0;     // the current event's index in batch_
+  bool more_ = true;   // the walk has not ended yet
   uint64_t emitted_ = 0;
 };
 

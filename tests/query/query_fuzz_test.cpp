@@ -54,8 +54,8 @@ TEST(QueryFuzz, MutatedTracesNeverEscapeTheErrorContract) {
   const auto decode = [](std::span<const uint8_t> bytes) {
     cst::Tree tree;
     core::MergedCtt m = core::MergedCtt::deserializeWithTree(bytes, tree);
-    // Both walks read the payload through one RankReader, so on every
-    // covered rank they must agree, however the payload is corrupted.
+    // Both drain the same core::RankWalk, so on every covered rank they
+    // must agree, however the payload is corrupted.
     const RankSet covered = coveredRanks(m);
     for (int32_t r : covered.ranks())
       EXPECT_TRUE(walksAgree(m, r)) << "rank " << r;

@@ -7,12 +7,15 @@
 // analysis is a pure optimization, never an approximation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cypress/decompress.hpp"
 #include "driver/pipeline.hpp"
 #include "query/cursor.hpp"
 #include "query/engine.hpp"
 #include "query/query.hpp"
 #include "support/error.hpp"
+#include "workloads/workloads.hpp"
 
 namespace cypress::query {
 namespace {
@@ -133,24 +136,77 @@ TEST(QueryEngine, MatrixAgreesWithSummaryTotals) {
   }
 }
 
-TEST(QueryCursor, StreamsExactlyTheDecompressedSequence) {
-  const Compressed c = mergedFor("FT", 8);
-  const core::MergedCtt& m = c.m;
+/// Read every covered rank one peek()/next() at a time; the stream must
+/// equal decompressRank() event by event and emitted() its length.
+void expectCursorStreamsDecompressed(const core::MergedCtt& m,
+                                     const std::string& ctx) {
   const RankSet covered = coveredRanks(m);
   for (int32_t r : covered.ranks()) {
     const auto events = core::decompressRank(m, r);
     CompressedCursor cur(m, r);
     size_t i = 0;
     while (!cur.done()) {
-      ASSERT_LT(i, events.size()) << "rank " << r;
-      EXPECT_EQ(cur.peek().toString(), events[i].toString())
-          << "rank " << r << " event " << i;
+      ASSERT_LT(i, events.size()) << ctx << " rank " << r;
+      ASSERT_EQ(cur.peek().toString(), events[i].toString())
+          << ctx << " rank " << r << " event " << i;
       cur.next();
       ++i;
     }
-    EXPECT_EQ(i, events.size()) << "rank " << r;
-    EXPECT_EQ(cur.emitted(), events.size()) << "rank " << r;
+    EXPECT_EQ(i, events.size()) << ctx << " rank " << r;
+    EXPECT_EQ(cur.emitted(), events.size()) << ctx << " rank " << r;
   }
+}
+
+TEST(QueryCursor, StreamsExactlyTheDecompressedSequence) {
+  for (const std::string& w : workloads::allNames()) {
+    const Compressed c = mergedFor(w, w == "DT" ? 12 : 16);
+    expectCursorStreamsDecompressed(c.m, w);
+  }
+}
+
+TEST(QueryCursor, BatchSeamInsideOneLeafExecution) {
+  // One Waitsome completes two dozen requests, so its leaf fires many
+  // times in one execution of the enclosing loop body, and the
+  // recursion's unwind repeats one Reduce leaf once per level: both
+  // cross the cursor's refill batch partway through a leaf.
+  driver::Options opts;
+  opts.procs = 4;
+  opts.withScala = false;
+  opts.withScala2 = false;
+  driver::RunOutput run = driver::runSource("batch-seam", R"(
+    func down(n) {
+      if (n > 0) {
+        mpi_bcast(0, 32 + n);
+        down(n - 1);
+        mpi_reduce(0, 16);
+      }
+    }
+    func main() {
+      for (var i = 0; i < 3; i = i + 1) {
+        for (var k = 0; k < 12; k = k + 1) {
+          var a = mpi_isend((rank + 1) % size, 64 + k, k);
+          var b = mpi_irecv((rank + size - 1) % size, 64 + k, k);
+        }
+        mpi_barrier();
+        mpi_waitsome();
+        mpi_waitall();
+        down(9 + i);
+      }
+    })", opts);
+  const core::MergedCtt m = driver::mergeCypress(run);
+
+  // The input really has a leaf that fires more often in a row than a
+  // cursor batch holds (at most 8 events).
+  const auto events = core::decompressRank(m, 0);
+  size_t streak = 0, longest = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const bool same = i > 0 && events[i].op == events[i - 1].op &&
+                      events[i].callSiteId == events[i - 1].callSiteId;
+    streak = same ? streak + 1 : 1;
+    longest = std::max(longest, streak);
+  }
+  EXPECT_GT(longest, 8u);
+  expectCursorStreamsDecompressed(m, "batch-seam");
 }
 
 TEST(QueryCursor, CursorStateIsSmallerThanTheExpandedVector) {

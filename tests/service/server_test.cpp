@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -18,6 +19,10 @@
 #include "service/server.hpp"
 #include "support/thread_pool.hpp"
 #include "verify/roundtrip.hpp"
+
+#ifndef CYPTRACE_BIN
+#error "CYPTRACE_BIN must point at the cyptrace binary"
+#endif
 
 namespace cypress::service {
 namespace {
@@ -181,6 +186,35 @@ TEST(Server, ArtifactByteIdenticalToDirectPipelineRun) {
   EXPECT_EQ(st->detail, "traced " + std::to_string(run.raw.totalEvents()) +
                             " events on 4 ranks");
   server.stop();
+}
+
+TEST(Server, ArtifactByteIdenticalToCyptraceRun) {
+  // The RUN job streams its merged trace to disk the way `cyptrace run`
+  // does, so the two .cyp files of one workload and P are the same bytes.
+  ThreadPool::configureShared(4);
+  ServerConfig cfg;
+  cfg.spoolDir = freshDir("cyp_service_cli_ident");
+  JobServer server(cfg);
+  server.start();
+
+  JobSpec spec;
+  spec.kind = JobKind::Run;
+  spec.target = "CG";
+  spec.procs = 8;
+  const auto r = server.submit(spec, 1);
+  ASSERT_TRUE(r.accepted);
+  const auto st = server.wait(r.jobId, 120'000);
+  ASSERT_EQ(st->state, JobState::Done) << st->detail;
+  server.stop();
+
+  const std::string cli = cfg.spoolDir + "/cli.cyp";
+  const std::string cmd = std::string(CYPTRACE_BIN) +
+                          " run CG --procs 8 --out " + cli + " > /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  const auto want = fileBytes(cli);
+  EXPECT_EQ(fileBytes(st->artifactPath), want)
+      << "daemon artifact diverged from cyptrace run";
+  EXPECT_EQ(st->artifactBytes, want.size());
 }
 
 TEST(Server, QueryJobAnswersFromTheCompressedArtifact) {

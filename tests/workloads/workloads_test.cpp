@@ -234,16 +234,5 @@ TEST(Driver, CompileStatsPopulated) {
   EXPECT_GT(run.plainCompileSeconds, 0.0);
 }
 
-TEST(Driver, BaselineMeasurement) {
-  Options opts;
-  opts.procs = 8;
-  opts.measureBaseline = true;
-  opts.withScala = false;
-  opts.withScala2 = false;
-  RunOutput run = runWorkload("JACOBI", opts);
-  EXPECT_GT(run.baselineWallSeconds, 0.0);
-  EXPECT_GT(run.tracedWallSeconds, 0.0);
-}
-
 }  // namespace
 }  // namespace cypress::driver

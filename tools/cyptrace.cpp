@@ -275,19 +275,7 @@ int cmdRun(const Args& a) {
   driver::RunOutput run = runTarget(a, /*allTools=*/false);
   core::MergedCtt merged = driver::mergeCypress(run, nullptr, a.threads);
   const std::string out = a.out.empty() ? a.target + ".cyp" : a.out;
-  // Artifacts land atomically (tmp + fsync + rename) and are streamed
-  // straight from the merged CTT — the serialized trace never exists
-  // as one in-RAM buffer, and a kill or disk fault mid-write never
-  // leaves a torn file under the final name.
-  size_t outBytes = 0;
-  {
-    io::AtomicFileWriter writer(*io, out);
-    ByteWriter w(writer);
-    merged.serializeTo(w);
-    w.flush();
-    outBytes = w.size();
-    writer.commit();
-  }
+  const size_t outBytes = driver::writeMergedTrace(merged, out, *io);
   std::printf("traced %s on %d ranks: %zu events -> %s (%s)\n", a.target.c_str(),
               a.procs, run.eventCount(), out.c_str(),
               humanBytes(outBytes).c_str());
